@@ -58,6 +58,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts and bounds; a bad value becomes a usage
+    error through `_Parser.error`."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be a positive integer: %d" % value)
+    return value
+
+
 @dataclass
 class RunReport:
     """Losslessly serializable record of one recognition run."""
@@ -233,7 +245,7 @@ def cmd_compare(args) -> int:
 
 def _compare_random(args) -> int:
     seed = args.seed if args.seed is not None else random.randrange(2 ** 32)
-    max_len = args.max_len or 4
+    max_len = args.max_len
     print("seed %d, %d grammars, inputs up to length %d" % (seed, args.random, max_len))
     rng = random.Random(seed)
     inputs = all_inputs(("a", "b"), max_len)
@@ -293,8 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--trace", action="store_true",
                      help="print the accepting trace as a two-column table")
     rec.add_argument("--json", action="store_true")
-    rec.add_argument("--max-steps", type=int)
-    rec.add_argument("--max-depth", type=int)
+    rec.add_argument("--max-steps", type=_positive_int)
+    rec.add_argument("--max-depth", type=_positive_int)
     rec.set_defaults(func=cmd_recognize)
 
     tra = sub.add_parser("transform", help="flatten or binarize a grammar")
@@ -314,17 +326,18 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("--algorithms", help="comma-separated subset of: %s" % ",".join(ALGORITHMS))
     cmp_.add_argument("--exhaustive", action="store_true",
                       help="explore the whole space even after accepting")
-    cmp_.add_argument("--random", type=int, metavar="N",
+    cmp_.add_argument("--random", type=_positive_int, metavar="N",
                       help="differential batch over N seeded random grammars")
-    cmp_.add_argument("--max-len", type=int, help="input length bound for --random")
+    cmp_.add_argument("--max-len", type=_positive_int, default=4,
+                      help="input length bound for --random")
     cmp_.add_argument("--seed", type=int)
-    cmp_.add_argument("--max-steps", type=int)
-    cmp_.add_argument("--max-depth", type=int)
+    cmp_.add_argument("--max-steps", type=_positive_int)
+    cmp_.add_argument("--max-depth", type=_positive_int)
     cmp_.set_defaults(func=cmd_compare)
 
     enu = sub.add_parser("enumerate", help="list the language up to a length bound")
     enu.add_argument("--grammar", required=True)
-    enu.add_argument("--max-len", type=int, required=True)
+    enu.add_argument("--max-len", type=_positive_int, required=True)
     enu.set_defaults(func=cmd_enumerate)
     return parser
 

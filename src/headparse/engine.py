@@ -17,11 +17,12 @@ Items carry the -1-based input positions used throughout this toolkit
 directly (the bottom marker occupies the span (-1, 0]), with no internal
 shifting, so printed traces read exactly like the items themselves.
 
-Each configuration also remembers which input positions were consulted by
-scanning steps along the path that discovered it.  These per-path sets are
-what the correct-subsequence check in `headparse.oracle` inspects; sets
-from different search branches are deliberately never merged, since only
-an individual path's consultations are meaningful.
+Each search path also carries the set of input positions its scanning
+steps consulted.  These per-path sets are what the correct-subsequence
+check in `headparse.oracle` inspects.  A set rides on the path's agenda
+entry rather than in a map keyed by stack, so sets from different search
+branches are never merged by construction; only an individual path's
+consultations are meaningful.
 """
 
 from __future__ import annotations
@@ -151,10 +152,11 @@ def run(automaton: Automaton, tokens, *, max_steps: int = 1_000_000,
     accepting = automaton.accepting_predicate(n)
     start = (automaton.make_init(n),)
 
-    visited = {start}
+    # Every stack reached maps to (parent stack, clause label), the start to
+    # None; the first path to reach a stack is the one its trace follows.
+    # With pruning on, the same map is the visited set.
+    parents = {start: None}
     order = [start] if keep_visited else None
-    parents = {}
-    consulted = {start: frozenset()}
     consulted_sets = {frozenset()} if collect_consulted else None
 
     explored = 1
@@ -163,10 +165,14 @@ def run(automaton: Automaton, tokens, *, max_steps: int = 1_000_000,
     duplicates = 0
     limit_hit = False
     accept_cfg = start if accepting(start) else None
+    accept_consulted = frozenset()
+    # widest consulted set, ordered by (len, sorted): keys that compare
+    # equal belong to equal sets, so it does not depend on search order
+    widest = frozenset()
 
-    agenda = [(start, _successors(automaton.clauses, start, ctx))]
+    agenda = [(start, frozenset(), _successors(automaton.clauses, start, ctx))]
     while agenda:
-        cfg, successors = agenda[-1]
+        cfg, base, successors = agenda[-1]
         step = next(successors, None)
         if step is None:
             agenda.pop()
@@ -177,39 +183,41 @@ def run(automaton: Automaton, tokens, *, max_steps: int = 1_000_000,
             limit_hit = True
             break
         new_cfg = cfg[:len(cfg) - matched] + replacement
-        base = consulted[cfg]
         new_consulted = base if pos is None else base | {pos}
         if collect_consulted and new_consulted is not base:
             consulted_sets.add(new_consulted)
         if len(new_cfg) > max_depth:
             limit_hit = True
             continue
-        if prune:
-            if new_cfg in visited:
-                duplicates += 1
-                continue
-            visited.add(new_cfg)
+        link = (cfg, label)
+        # one lookup both tests for and records the stack
+        if parents.setdefault(new_cfg, link) is not link and prune:
+            duplicates += 1
+            continue
         explored += 1
         if keep_visited:
             order.append(new_cfg)
-        if new_cfg not in parents:
-            parents[new_cfg] = (cfg, label)
-        consulted[new_cfg] = new_consulted
+        if new_consulted is not base:
+            size = len(new_consulted)
+            if size > len(widest) or (size == len(widest)
+                                      and sorted(new_consulted) > sorted(widest)):
+                widest = new_consulted
         if len(new_cfg) > deepest:
             deepest = len(new_cfg)
         if accept_cfg is None and accepting(new_cfg):
             accept_cfg = new_cfg
+            accept_consulted = new_consulted
             if not exhaustive:
                 break
-        agenda.append((new_cfg, _successors(automaton.clauses, new_cfg, ctx)))
+        agenda.append((new_cfg, new_consulted,
+                       _successors(automaton.clauses, new_cfg, ctx)))
 
     if accept_cfg is not None:
         verdict = Verdict.ACCEPT
-        final_consulted = consulted[accept_cfg]
+        final_consulted = accept_consulted
     else:
         verdict = Verdict.RESOURCE_LIMIT if limit_hit else Verdict.REJECT
-        final_consulted = max(consulted.values(), key=lambda s: (len(s), sorted(s)),
-                              default=frozenset())
+        final_consulted = widest
     stats = RunStats(
         configurations_explored=explored,
         clause_applications=applications,
@@ -219,20 +227,22 @@ def run(automaton: Automaton, tokens, *, max_steps: int = 1_000_000,
         limit_hit=limit_hit,
         consulted_sets=frozenset(consulted_sets) if collect_consulted else None,
     )
-    trace = _build_trace(parents, start, accept_cfg) if accept_cfg is not None else None
+    trace = _build_trace(parents, accept_cfg) if accept_cfg is not None else None
     return RunResult(verdict, stats, trace,
                      visited=tuple(order) if keep_visited else None)
 
 
-def _build_trace(parents, start, end):
+def _build_trace(parents, end):
     steps = []
     cur = end
-    while cur != start:
-        prev, label = parents[cur]
+    link = parents[end]
+    while link is not None:
+        prev, label = link
         steps.append(TraceStep(label, cur))
         cur = prev
+        link = parents[cur]
     steps.reverse()
-    return Trace(start, tuple(steps))
+    return Trace(cur, tuple(steps))
 
 
 def accepting_trace(result: RunResult) -> Trace:

@@ -88,9 +88,6 @@ class HeadGrammar:
             by_lhs.setdefault(r.lhs, []).append(idx)
         self.rules_by_lhs = {a: tuple(ids) for a, ids in by_lhs.items()}
 
-    def is_nonterminal(self, sym):
-        return sym in self.nonterminals
-
     def __eq__(self, other):
         if not isinstance(other, HeadGrammar):
             return NotImplemented
@@ -178,9 +175,6 @@ class HeadCornerRelation:
     def __init__(self, variant, pairs):
         self.variant = variant
         self.pairs = frozenset(pairs)
-
-    def holds(self, b, a):
-        return (b, a) in self.pairs
 
     def __contains__(self, pair):
         return pair in self.pairs

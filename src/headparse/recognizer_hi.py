@@ -62,63 +62,52 @@ def _pending_nts(aug, q, rightward):
     return out
 
 
-def gotoright1(aug: AugmentedGrammar, rels: Relations, q, x) -> frozenset:
-    """Rules with head `x`, startable next to a pending nonterminal of some
-    element of `q` (full head-corner gate); dots placed around the head."""
-    pend = _pending_nts(aug, q, True)
-    if not pend:
-        return frozenset()
-    out = set()
-    for rid in aug.rules_with_head.get(x, ()):
-        r = aug.rules[rid]
-        if any((r.lhs, b) in rels.full.pairs for b in pend):
-            out.add((rid, r.head, r.head + 1))
-    return frozenset(out)
-
-
-def gotoleft1(aug: AugmentedGrammar, rels: Relations, q, x) -> frozenset:
-    pend = _pending_nts(aug, q, False)
-    if not pend:
-        return frozenset()
-    out = set()
-    for rid in aug.rules_with_head.get(x, ()):
-        r = aug.rules[rid]
-        if any((r.lhs, b) in rels.full.pairs for b in pend):
-            out.add((rid, r.head, r.head + 1))
-    return frozenset(out)
-
-
-def gotoright2(aug: AugmentedGrammar, rels: Relations, q, x) -> frozenset:
-    """Dot advances over `x` within `q`, plus fresh rules whose leftmost
-    member is `x` and also the head (left head-corner gate)."""
-    out = set()
-    pend = _pending_nts(aug, q, True)
-    if pend:
+def _make_goto1(rightward):
+    def goto1(aug: AugmentedGrammar, rels: Relations, q, x) -> frozenset:
+        """Rules with head `x`, startable next to a pending nonterminal of
+        some element of `q` on this side (full head-corner gate); dots
+        placed around the head."""
+        pend = _pending_nts(aug, q, rightward)
+        if not pend:
+            return frozenset()
+        out = set()
         for rid in aug.rules_with_head.get(x, ()):
             r = aug.rules[rid]
-            if r.head == 0 and any((r.lhs, b) in rels.left.pairs for b in pend):
-                out.add((rid, 0, 1))
-    for rid, ld, rd in q:
-        rhs = aug.rules[rid].rhs
-        if rd < len(rhs) and rhs[rd] == x:
-            out.add((rid, ld, rd + 1))
-    return frozenset(out)
-
-
-def gotoleft2(aug: AugmentedGrammar, rels: Relations, q, x) -> frozenset:
-    out = set()
-    pend = _pending_nts(aug, q, False)
-    if pend:
-        for rid in aug.rules_with_head.get(x, ()):
-            r = aug.rules[rid]
-            if r.head == len(r.rhs) - 1 and any(
-                    (r.lhs, b) in rels.right.pairs for b in pend):
+            if any((r.lhs, b) in rels.full.pairs for b in pend):
                 out.add((rid, r.head, r.head + 1))
-    for rid, ld, rd in q:
-        rhs = aug.rules[rid].rhs
-        if ld > 0 and rhs[ld - 1] == x:
-            out.add((rid, ld - 1, rd))
-    return frozenset(out)
+        return frozenset(out)
+    return goto1
+
+
+def _make_goto2(rightward):
+    def goto2(aug: AugmentedGrammar, rels: Relations, q, x) -> frozenset:
+        """The dots of `q` move outward over `x` on this side, plus fresh
+        rules whose outermost member on this side is `x` and also the head
+        (left head-corner gate going right, right one going left)."""
+        out = set()
+        pend = _pending_nts(aug, q, rightward)
+        if pend:
+            gate = rels.left if rightward else rels.right
+            for rid in aug.rules_with_head.get(x, ()):
+                r = aug.rules[rid]
+                edge = 0 if rightward else len(r.rhs) - 1
+                if r.head == edge and any((r.lhs, b) in gate.pairs for b in pend):
+                    out.add((rid, r.head, r.head + 1))
+        for rid, ld, rd in q:
+            rhs = aug.rules[rid].rhs
+            if rightward:
+                if rd < len(rhs) and rhs[rd] == x:
+                    out.add((rid, ld, rd + 1))
+            elif ld > 0 and rhs[ld - 1] == x:
+                out.add((rid, ld - 1, rd))
+        return frozenset(out)
+    return goto2
+
+
+gotoright1 = _make_goto1(True)
+gotoleft1 = _make_goto1(False)
+gotoright2 = _make_goto2(True)
+gotoleft2 = _make_goto2(False)
 
 
 def _render_hi(aug):

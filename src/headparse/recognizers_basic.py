@@ -14,6 +14,9 @@ between rules:
   * `build_ehi`  - extended head-inward: like PHI but with a set of
                    left-hand sides, sharing infixes across nonterminals.
 
+PHI and EHI share one builder and one item type, `SetInfix`: PHI is EHI
+with every set of left-hand sides split into single-member sets.
+
 Every "a" clause works on the right side of a recognized stretch and has a
 mirrored "b" twin working on the left; each pair is generated from a single
 implementation parameterised by direction, so the twins cannot drift
@@ -52,18 +55,9 @@ class Dotted(NamedTuple):
     j: int
 
 
-class Infix(NamedTuple):
-    """PHI item: `gamma` is a head-containing infix of some rule of `lhs`."""
-    i: int
-    k: int
-    lhs: str
-    gamma: tuple
-    m: int
-    j: int
-
-
 class SetInfix(NamedTuple):
-    """EHI item: every member of `delta` has a rule with infix `gamma`."""
+    """PHI/EHI item: every member of `delta` has a rule with infix `gamma`.
+    PHI items have exactly one member."""
     i: int
     k: int
     delta: frozenset
@@ -91,8 +85,9 @@ def _render_td(aug):
 
 
 def _render_infix(item):
+    (lhs,) = item.delta
     return "[%d, %d, %s -> %s, %d, %d]" % (
-        item.i, item.k, item.lhs, " ".join(item.gamma), item.m, item.j)
+        item.i, item.k, lhs, " ".join(item.gamma), item.m, item.j)
 
 
 def _render_set_infix(item):
@@ -337,7 +332,8 @@ class InfixIndex:
 
     Drives the PHI/EHI side conditions in O(1)-ish time per check:
     which symbol may extend an infix on either side, which nonterminals
-    follow it, and whether it is a complete right-hand side.
+    follow it, and which left-hand sides have it as a whole right-hand side
+    (`complete`, keyed by infix alone).
     """
 
     def __init__(self, aug: AugmentedGrammar):
@@ -345,7 +341,7 @@ class InfixIndex:
         left_ext = set()
         right_nt = {}
         left_nt = {}
-        complete = set()
+        complete = {}
         valid = set()
         for r in aug.rules:
             rhs = r.rhs
@@ -366,21 +362,13 @@ class InfixIndex:
                         if prv in aug.nonterminals:
                             left_nt.setdefault(key, set()).add(prv)
                     if s == 0 and e == size:
-                        complete.add(key)
+                        complete.setdefault(gamma, set()).add(r.lhs)
         self.right_ext = frozenset(right_ext)
         self.left_ext = frozenset(left_ext)
         self.right_nt = {k: frozenset(v) for k, v in right_nt.items()}
         self.left_nt = {k: frozenset(v) for k, v in left_nt.items()}
-        self.complete = frozenset(complete)
+        self.complete = {k: frozenset(v) for k, v in complete.items()}
         self.valid = frozenset(valid)
-
-    def nt_continuations(self, key, rightward):
-        table = self.right_nt if rightward else self.left_nt
-        return table.get(key, frozenset())
-
-    def extends(self, lhs, gamma, sym, rightward):
-        table = self.right_ext if rightward else self.left_ext
-        return (lhs, gamma, sym) in table
 
 
 def _distinct_lhs(rule_map, aug):
@@ -396,11 +384,12 @@ def _distinct_lhs(rule_map, aug):
     return out
 
 
-# ------------------------------------------------------------------ PHI
+# ------------------------------------------------------------- PHI and EHI
 
-def build_phi(aug: AugmentedGrammar, hc: HeadCornerRelation = None) -> Automaton:
-    """Predictive head-inward recognizer: items carry the recognized infix
-    only, so rules of one nonterminal sharing an infix are merged."""
+def _build_infix(aug, hc, name, merge_lhs):
+    """Infix recognizer over `SetInfix` items.  Each step computes the
+    left-hand sides that survive it; EHI keeps them as one item, PHI splits
+    them into one single-member item each, in the same order."""
     if hc is None:
         hc = head_corner(aug, FULL)
     pairs = hc.pairs
@@ -408,184 +397,93 @@ def build_phi(aug: AugmentedGrammar, hc: HeadCornerRelation = None) -> Automaton
     index = InfixIndex(aug)
     term_lhs = _distinct_lhs(aug.rules_with_terminal_head, aug)
     nt_lhs = _distinct_lhs(aug.rules_with_nonterminal_head, aug)
+    # PHI's one-member sets, built once and shared by every item
+    single = {a: frozenset((a,)) for a in nts | {aug.start_prime}}
+
+    def deltas(survivors):
+        if not survivors:
+            return ()
+        if merge_lhs:
+            return (frozenset(survivors),)
+        return [single[c] for c in survivors]
 
     def make_init(n):
-        return Infix(-1, -1, aug.start_prime, (aug.bottom,), 0, n)
+        return SetInfix(-1, -1, single[aug.start_prime], (aug.bottom,), 0, n)
 
     def make_fin(n):
-        return Infix(-1, -1, aug.start_prime, (aug.bottom, aug.start), n, n)
-
-    def predict_scan_side(rightward):
-        def matcher(stack, ctx):
-            top = stack[-1]
-            targets = index.nt_continuations((top.lhs, top.gamma), rightward)
-            if not targets:
-                return
-            lo, hi = (top.m, top.j) if rightward else (top.i, top.k)
-            for p in range(lo + 1, hi + 1):
-                a = ctx.tokens[p - 1]
-                for c in term_lhs.get(a, ()):
-                    if any((c, b) in pairs for b in targets):
-                        yield 1, (top, Infix(lo, p - 1, c, (a,), p, hi)), p
-        return matcher
-
-    def scan_side(rightward):
-        def matcher(stack, ctx):
-            top = stack[-1]
-            if rightward:
-                if top.m >= top.j:
-                    return
-                a = ctx.tokens[top.m]
-                if a not in nts and index.extends(top.lhs, top.gamma, a, True):
-                    yield 1, (top._replace(gamma=top.gamma + (a,), m=top.m + 1),), top.m + 1
-            else:
-                if top.i >= top.k:
-                    return
-                a = ctx.tokens[top.k - 1]
-                if a not in nts and index.extends(top.lhs, top.gamma, a, False):
-                    yield 1, (top._replace(gamma=(a,) + top.gamma, k=top.k - 1),), top.k
-        return matcher
-
-    def attach_head_side(rightward):
-        def matcher(stack, ctx):
-            if len(stack) < 2:
-                return
-            top = stack[-1]
-            below = stack[-2]
-            if (top.lhs, top.gamma) not in index.complete:
-                return
-            targets = index.nt_continuations((below.lhs, below.gamma), rightward)
-            if not targets:
-                return
-            if rightward:
-                if below.m != top.i:
-                    return
-                assert below.j == top.j
-            else:
-                if below.k != top.j:
-                    return
-                assert below.i == top.i
-            b = top.lhs
-            for c in nt_lhs.get(b, ()):
-                if any((c, a0) in pairs for a0 in targets):
-                    yield 1, (top._replace(lhs=c, gamma=(b,)),), None
-        return matcher
-
-    def attach_member_side(rightward):
-        def matcher(stack, ctx):
-            if len(stack) < 2:
-                return
-            top = stack[-1]
-            below = stack[-2]
-            if (top.lhs, top.gamma) not in index.complete:
-                return
-            b = top.lhs
-            if rightward:
-                if below.m != top.k:
-                    return
-                if not index.extends(below.lhs, below.gamma, b, True):
-                    return
-                assert below.m == top.i and below.j == top.j
-                yield 2, (below._replace(gamma=below.gamma + (b,), m=top.m),), None
-            else:
-                if below.k != top.m:
-                    return
-                if not index.extends(below.lhs, below.gamma, b, False):
-                    return
-                assert below.k == top.j and below.i == top.i
-                yield 2, (below._replace(gamma=(b,) + below.gamma, k=top.k),), None
-        return matcher
-
-    clauses = (
-        Clause("1a", predict_scan_side(True)),
-        Clause("1b", predict_scan_side(False)),
-        Clause("2a", scan_side(True)),
-        Clause("2b", scan_side(False)),
-        Clause("3a", attach_head_side(True)),
-        Clause("3b", attach_head_side(False)),
-        Clause("4a", attach_member_side(True)),
-        Clause("4b", attach_member_side(False)),
-    )
-    return Automaton("phi", clauses, make_init, make_fin, _render_infix,
-                     (len(aug.rules), len(nts)))
-
-
-# ------------------------------------------------------------------ EHI
-
-def build_ehi(aug: AugmentedGrammar, hc: HeadCornerRelation = None) -> Automaton:
-    """Extended head-inward recognizer: like PHI, with a set of left-hand
-    sides per item so common infixes merge across nonterminals."""
-    if hc is None:
-        hc = head_corner(aug, FULL)
-    pairs = hc.pairs
-    nts = aug.nonterminals
-    index = InfixIndex(aug)
-    term_lhs = _distinct_lhs(aug.rules_with_terminal_head, aug)
-    nt_lhs = _distinct_lhs(aug.rules_with_nonterminal_head, aug)
-
-    def make_init(n):
-        return SetInfix(-1, -1, frozenset((aug.start_prime,)), (aug.bottom,), 0, n)
-
-    def make_fin(n):
-        return SetInfix(-1, -1, frozenset((aug.start_prime,)),
+        return SetInfix(-1, -1, single[aug.start_prime],
                         (aug.bottom, aug.start), n, n)
 
-    def _targets(item, rightward):
+    def _targets(item, continuations):
         out = set()
         for a in item.delta:
-            out.update(index.nt_continuations((a, item.gamma), rightward))
+            out.update(continuations.get((a, item.gamma), ()))
         return out
 
+    def _extending(item, sym, extensions):
+        return frozenset([x for x in item.delta
+                          if (x, item.gamma, sym) in extensions])
+
+    def _completed(item):
+        """Members of `delta` that have `gamma` as a whole right-hand side."""
+        lhs = index.complete.get(item.gamma)
+        return sorted(item.delta & lhs) if lhs else ()
+
     def predict_scan_side(rightward):
+        continuations = index.right_nt if rightward else index.left_nt
+
         def matcher(stack, ctx):
             top = stack[-1]
-            targets = _targets(top, rightward)
+            targets = _targets(top, continuations)
             if not targets:
                 return
             lo, hi = (top.m, top.j) if rightward else (top.i, top.k)
             for p in range(lo + 1, hi + 1):
                 a = ctx.tokens[p - 1]
-                delta = frozenset(
-                    c for c in term_lhs.get(a, ())
-                    if any((c, b) in pairs for b in targets))
-                if delta:
+                survivors = [c for c in term_lhs.get(a, ())
+                             if any((c, b) in pairs for b in targets)]
+                for delta in deltas(survivors):
                     yield 1, (top, SetInfix(lo, p - 1, delta, (a,), p, hi)), p
         return matcher
 
     def scan_side(rightward):
+        extensions = index.right_ext if rightward else index.left_ext
+
         def matcher(stack, ctx):
             top = stack[-1]
             if rightward:
                 if top.m >= top.j:
                     return
                 a = ctx.tokens[top.m]
-                if a in nts:
-                    return
-                delta = frozenset(x for x in top.delta
-                                  if index.extends(x, top.gamma, a, True))
-                if delta:
-                    yield 1, (top._replace(delta=delta, gamma=top.gamma + (a,),
-                                           m=top.m + 1),), top.m + 1
             else:
                 if top.i >= top.k:
                     return
                 a = ctx.tokens[top.k - 1]
-                if a in nts:
-                    return
-                delta = frozenset(x for x in top.delta
-                                  if index.extends(x, top.gamma, a, False))
-                if delta:
-                    yield 1, (top._replace(delta=delta, gamma=(a,) + top.gamma,
-                                           k=top.k - 1),), top.k
+            if a in nts:
+                return
+            delta = _extending(top, a, extensions)
+            if not delta:
+                return
+            if rightward:
+                yield 1, (top._replace(delta=delta, gamma=top.gamma + (a,),
+                                       m=top.m + 1),), top.m + 1
+            else:
+                yield 1, (top._replace(delta=delta, gamma=(a,) + top.gamma,
+                                       k=top.k - 1),), top.k
         return matcher
 
     def attach_head_side(rightward):
+        continuations = index.right_nt if rightward else index.left_nt
+
         def matcher(stack, ctx):
             if len(stack) < 2:
                 return
             top = stack[-1]
+            done = _completed(top)
+            if not done:
+                return
             below = stack[-2]
-            targets = _targets(below, rightward)
+            targets = _targets(below, continuations)
             if not targets:
                 return
             if rightward:
@@ -596,17 +494,16 @@ def build_ehi(aug: AugmentedGrammar, hc: HeadCornerRelation = None) -> Automaton
                 if below.k != top.j:
                     return
                 assert below.i == top.i
-            for b in sorted(top.delta):
-                if (b, top.gamma) not in index.complete:
-                    continue
-                delta = frozenset(
-                    c for c in nt_lhs.get(b, ())
-                    if any((c, a0) in pairs for a0 in targets))
-                if delta:
+            for b in done:
+                survivors = [c for c in nt_lhs.get(b, ())
+                             if any((c, a0) in pairs for a0 in targets)]
+                for delta in deltas(survivors):
                     yield 1, (top._replace(delta=delta, gamma=(b,)),), None
         return matcher
 
     def attach_member_side(rightward):
+        extensions = index.right_ext if rightward else index.left_ext
+
         def matcher(stack, ctx):
             if len(stack) < 2:
                 return
@@ -618,25 +515,18 @@ def build_ehi(aug: AugmentedGrammar, hc: HeadCornerRelation = None) -> Automaton
             else:
                 if below.k != top.m:
                     return
-            for b in sorted(top.delta):
-                if (b, top.gamma) not in index.complete:
+            for b in _completed(top):
+                delta = _extending(below, b, extensions)
+                if not delta:
                     continue
                 if rightward:
-                    delta = frozenset(x for x in below.delta
-                                      if index.extends(x, below.gamma, b, True))
-                    if delta:
-                        assert below.m == top.i and below.j == top.j
-                        yield 2, (below._replace(delta=delta,
-                                                 gamma=below.gamma + (b,),
-                                                 m=top.m),), None
+                    assert below.m == top.i and below.j == top.j
+                    yield 2, (below._replace(delta=delta, gamma=below.gamma + (b,),
+                                             m=top.m),), None
                 else:
-                    delta = frozenset(x for x in below.delta
-                                      if index.extends(x, below.gamma, b, False))
-                    if delta:
-                        assert below.k == top.j and below.i == top.i
-                        yield 2, (below._replace(delta=delta,
-                                                 gamma=(b,) + below.gamma,
-                                                 k=top.k),), None
+                    assert below.k == top.j and below.i == top.i
+                    yield 2, (below._replace(delta=delta, gamma=(b,) + below.gamma,
+                                             k=top.k),), None
         return matcher
 
     clauses = (
@@ -649,5 +539,18 @@ def build_ehi(aug: AugmentedGrammar, hc: HeadCornerRelation = None) -> Automaton
         Clause("4a", attach_member_side(True)),
         Clause("4b", attach_member_side(False)),
     )
-    return Automaton("ehi", clauses, make_init, make_fin, _render_set_infix,
+    render = _render_set_infix if merge_lhs else _render_infix
+    return Automaton(name, clauses, make_init, make_fin, render,
                      (len(aug.rules), len(nts)))
+
+
+def build_phi(aug: AugmentedGrammar, hc: HeadCornerRelation = None) -> Automaton:
+    """Predictive head-inward recognizer: items carry the recognized infix
+    only, so rules of one nonterminal sharing an infix are merged."""
+    return _build_infix(aug, hc, "phi", merge_lhs=False)
+
+
+def build_ehi(aug: AugmentedGrammar, hc: HeadCornerRelation = None) -> Automaton:
+    """Extended head-inward recognizer: like PHI, with a set of left-hand
+    sides per item so common infixes merge across nonterminals."""
+    return _build_infix(aug, hc, "ehi", merge_lhs=True)

@@ -182,3 +182,20 @@ def test_usage_error_on_bad_algorithm(tiny_hg_path):
     code = main(["recognize", "--grammar", tiny_hg_path, "--algorithm", "xyz",
                  "--input", "a"])
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("command", [
+    "enumerate --grammar {g} --max-len 0",
+    "compare --random 1 --max-len -2",
+    "compare --random 1 --max-len 0",
+    "compare --random -3",
+    "compare --random 0",
+    "recognize --grammar {g} --algorithm td --input a --max-steps -5",
+    "recognize --grammar {g} --algorithm td --input a --max-depth 0",
+    "compare --grammar {g} --input a --max-steps x",
+])
+def test_nonpositive_numeric_flags_are_usage_errors(command, tiny_hg_path, capsys):
+    assert main(command.format(g=tiny_hg_path).split()) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage error: argument --" in captured.err

@@ -6,9 +6,8 @@ from headparse.corpus import (all_inputs, eligible, gen_eligible,
 from headparse.recognizer_ghi import (DoneItem, FullItem, LeftOpenItem,
                                       RightOpenItem, build_ghi)
 from headparse.recognizer_hi import HiItem, build_hi
-from headparse.recognizers_basic import (Dotted, Goal, Infix, SetInfix,
-                                         build_ehi, build_hc, build_phi,
-                                         build_td)
+from headparse.recognizers_basic import (Dotted, Goal, SetInfix, build_ehi,
+                                         build_hc, build_phi, build_td)
 
 GRAMMARS = head_grammar_corpus(10, seed=1201)
 INPUTS = all_inputs(("a", "b"), 3)
@@ -58,12 +57,13 @@ def test_phi_items_well_formed():
         index = InfixIndex(aug)
         for cfg in visited:
             for item in cfg:
-                assert type(item) is Infix
+                assert type(item) is SetInfix and len(item.delta) == 1
                 assert -1 <= item.i <= item.k < item.m <= item.j <= n
                 assert item.gamma
                 # some rule of the left-hand side really has this
                 # head-containing infix
-                assert (item.lhs, item.gamma) in index.valid
+                (lhs,) = item.delta
+                assert (lhs, item.gamma) in index.valid
 
 
 def test_ehi_items_well_formed():
