@@ -3,7 +3,12 @@
 Subcommands: recognize, transform, compare, enumerate.
 
 Exit codes: 0 accept, 1 reject, 2 resource limit, 3 grammar or input
-errors, 4 usage errors, 5 verdict disagreement in `compare`.
+errors, 4 usage errors, 5 verdict disagreement in `compare`, 6 internal
+error (a fault in headparse itself, reported on stderr).
+
+`compare --random N` runs the acceptance gate's policy,
+`headparse.differential.check`, over N seeded head grammars: td is skipped
+on head-recursive grammars, and hc/phi/ehi/hi also run on cyclic ones.
 """
 
 from __future__ import annotations
@@ -15,13 +20,11 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
-from . import engine, oracle
-from .corpus import all_inputs, eligible, random_head_grammar
-from .grammar import (GrammarError, HeadGrammar, augment, file_safe_grammar,
-                      format_hg, parse_hg)
+from . import differential, engine, oracle
+from .corpus import all_inputs, head_grammar_corpus
+from .differential import FLAT_BUILDERS
+from .grammar import GrammarError, augment, file_safe_grammar, format_hg, parse_hg
 from .recognizer_ghi import build_ghi
-from .recognizer_hi import build_hi
-from .recognizers_basic import build_ehi, build_hc, build_phi, build_td
 from .transform import GenHeadGrammar, embed, parse_ghg, tau_head, tau_two
 
 EXIT_ACCEPT = 0
@@ -30,6 +33,7 @@ EXIT_LIMIT = 2
 EXIT_ERROR = 3
 EXIT_USAGE = 4
 EXIT_DISAGREE = 5
+EXIT_INTERNAL = 6
 
 _EXIT_BY_VERDICT = {
     engine.Verdict.ACCEPT: EXIT_ACCEPT,
@@ -37,15 +41,7 @@ _EXIT_BY_VERDICT = {
     engine.Verdict.RESOURCE_LIMIT: EXIT_LIMIT,
 }
 
-ALGORITHMS = ("td", "hc", "phi", "ehi", "hi", "ghi")
-
-_BUILDERS = {
-    "td": build_td,
-    "hc": build_hc,
-    "phi": build_phi,
-    "ehi": build_ehi,
-    "hi": build_hi,
-}
+ALGORITHMS = tuple(FLAT_BUILDERS) + ("ghi",)
 
 
 class UsageError(Exception):
@@ -138,7 +134,7 @@ def _automaton_for(algorithm: str, grammar, embed_plain: bool):
         return build_ghi(embed(grammar))
     if isinstance(grammar, GenHeadGrammar):
         raise UsageError("algorithm %s works on plain .hg grammars" % algorithm)
-    return _BUILDERS[algorithm](augment(grammar))
+    return FLAT_BUILDERS[algorithm](augment(grammar))
 
 
 def _run_limits(args) -> dict:
@@ -159,7 +155,7 @@ def cmd_recognize(args) -> int:
     if result.verdict is engine.Verdict.ACCEPT:
         trace = engine.accepting_trace(result)
         if not engine.replay(automaton, tokens, trace):
-            raise GrammarError("internal error: accepting trace failed to replay")
+            raise engine.EngineError("accepting trace failed to replay")
         if args.trace:
             trace_recs = engine.trace_records(automaton, trace)
             if not args.json:
@@ -232,7 +228,7 @@ def cmd_compare(args) -> int:
     elif isinstance(grammar, GenHeadGrammar):
         algorithms = ["ghi"]
     else:
-        algorithms = ["td", "hc", "phi", "ehi", "hi"]
+        algorithms = list(FLAT_BUILDERS)
     rows = _compare_rows(grammar, tokens, algorithms, args.embed,
                          _run_limits(args), args.exhaustive)
     _print_table(rows)
@@ -245,40 +241,21 @@ def cmd_compare(args) -> int:
 
 def _compare_random(args) -> int:
     seed = args.seed if args.seed is not None else random.randrange(2 ** 32)
-    max_len = args.max_len
-    print("seed %d, %d grammars, inputs up to length %d" % (seed, args.random, max_len))
-    rng = random.Random(seed)
-    inputs = all_inputs(("a", "b"), max_len)
-    disagreements = 0
-    limits = 0
-    skipped = 0
-    runs = 0
-    for index in range(args.random):
-        grammar = random_head_grammar(rng)
-        aug = augment(grammar)
-        language = oracle.enumerate_language(grammar, max_len)
-        automata = {}
-        for name in ("td", "hc", "phi", "ehi", "hi"):
-            if not eligible(aug, name):
-                skipped += 1
-                continue
-            automata[name] = _BUILDERS[name](aug)
-        for tokens in inputs:
-            expected = tokens in language
-            for name, automaton in automata.items():
-                result = engine.run(automaton, tokens, **_run_limits(args))
-                runs += 1
-                if result.verdict is engine.Verdict.RESOURCE_LIMIT:
-                    limits += 1
-                    continue
-                actual = result.verdict is engine.Verdict.ACCEPT
-                if actual != expected:
-                    disagreements += 1
-                    print("disagreement: grammar %d, %s, input %r (oracle %s)"
-                          % (index, name, " ".join(tokens), expected))
-    print("%d runs, %d disagreements, %d resource limits, %d skipped algorithms"
-          % (runs, disagreements, limits, skipped))
-    return EXIT_DISAGREE if disagreements else EXIT_ACCEPT
+    corpus = [(g, oracle.enumerate_language(g, args.max_len))
+              for g in head_grammar_corpus(args.random, seed)]
+    data = differential.check(corpus, all_inputs(("a", "b"), args.max_len),
+                              **_run_limits(args))
+    print("seed %d, %d grammars, inputs up to length %d"
+          % (seed, args.random, args.max_len))
+    for o in data.mismatches:
+        print("disagreement: grammar %d, %s, input %r (oracle %s)"
+              % (o.grammar, o.algorithm, " ".join(o.tokens), o.expected))
+    print("%d runs (%d on loop-prone grammars), %d disagreements, "
+          "%d resource limits, td skipped on %d head-recursive grammars"
+          % (data.eligible_runs + data.opportunistic_runs,
+             data.opportunistic_runs, len(data.mismatches),
+             data.limits, data.skipped))
+    return EXIT_DISAGREE if data.mismatches else EXIT_ACCEPT
 
 
 def cmd_enumerate(args) -> int:
@@ -355,6 +332,11 @@ def main(argv=None) -> int:
     except GrammarError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_ERROR
+    except Exception as exc:
+        # a fault in headparse, not a verdict: never exit 0-5 for it
+        print("internal error: %s: %s" % (type(exc).__name__, exc),
+              file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def console_main():

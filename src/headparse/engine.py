@@ -262,14 +262,13 @@ def replay(automaton: Automaton, tokens, trace: Trace, *, check_accept=True) -> 
     ctx = RunContext(tokens, len(tokens))
     if trace.initial != (automaton.make_init(ctx.n),):
         return False
+    matchers = {clause.label: clause.matcher for clause in automaton.clauses}
     cur = trace.initial
     for step in trace.steps:
-        hit = False
-        for label, matched, replacement, _ in _successors(automaton.clauses, cur, ctx):
-            if label == step.label and cur[:len(cur) - matched] + replacement == step.stack:
-                hit = True
-                break
-        if not hit:
+        matcher = matchers.get(step.label)
+        if matcher is None or not any(
+                cur[:len(cur) - matched] + replacement == step.stack
+                for matched, replacement, _ in matcher(cur, ctx)):
             return False
         cur = step.stack
     if check_accept:

@@ -219,30 +219,31 @@ def head_corner(g: AugmentedGrammar, variant: str = FULL) -> HeadCornerRelation:
 
 
 def _find_cycle(edges, nodes) -> Optional[list]:
-    """Return one cycle of the digraph as a node list, or None."""
-    color = {}  # missing: white, 1: on stack, 2: done
-    path = []
+    """Return one cycle of the digraph as a node list, or None.
 
-    def visit(node):
-        color[node] = 1
-        path.append(node)
-        for nxt in sorted(edges.get(node, ())):
+    Depth first from each node in sorted order, successors in sorted order;
+    iterative, so long chains do not hit the recursion limit.
+    """
+    color = {}  # missing: white, 1: on path, 2: done
+    for root in sorted(nodes):
+        if root in color:
+            continue
+        color[root] = 1
+        path = [root]
+        pending = [iter(sorted(edges.get(root, ())))]
+        while pending:
+            nxt = next(pending[-1], None)
+            if nxt is None:
+                pending.pop()
+                color[path.pop()] = 2
+                continue
             state = color.get(nxt)
             if state == 1:
                 return path[path.index(nxt):]
             if state is None:
-                found = visit(nxt)
-                if found is not None:
-                    return found
-        path.pop()
-        color[node] = 2
-        return None
-
-    for node in sorted(nodes):
-        if node not in color:
-            found = visit(node)
-            if found is not None:
-                return found
+                color[nxt] = 1
+                path.append(nxt)
+                pending.append(iter(sorted(edges.get(nxt, ()))))
     return None
 
 

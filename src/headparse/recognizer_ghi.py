@@ -131,12 +131,9 @@ def yld(item) -> tuple:
     All elements of an item agree on the result; disagreement raises
     `YldInconsistencyError` since it would mean the item is not reachable.
     """
-    if type(item) is DoneItem:
-        elements = [item.t]
-    else:
-        elements = sorted(item.q, key=_sort_key_generic)
-        if not elements:
-            raise YldInconsistencyError("empty item")
+    elements = (item.t,) if type(item) is DoneItem else item.q
+    if not elements:
+        raise YldInconsistencyError("empty item")
 
     def contribution(element):
         t = _tree_of(element)
@@ -157,12 +154,6 @@ def yld(item) -> tuple:
         raise YldInconsistencyError(
             "elements disagree: %s" % ", ".join(sorted(map(str, results))))
     return results.pop()
-
-
-def _sort_key_generic(element):
-    if isinstance(element, GenHeadRule):
-        return (1, element.lhs, tree_to_text(element.rhs))
-    return (0, "", tree_to_text(element))
 
 
 def build_ghi(g: GenHeadGrammar) -> Automaton:

@@ -2,9 +2,8 @@ import pytest
 
 from headparse import engine
 from headparse.corpus import _hg
+from headparse.differential import FLAT_BUILDERS  # noqa: F401 (shared by tests)
 from headparse.recognizer_ghi import build_ghi
-from headparse.recognizer_hi import build_hi
-from headparse.recognizers_basic import build_ehi, build_hc, build_phi, build_td
 from headparse.transform import parse_ghg
 
 hg = _hg  # concise grammar literals in tests
@@ -17,14 +16,6 @@ S -> (s (B) ())
 A -> (a)
 B -> (A () (b))
 """
-
-FLAT_BUILDERS = {
-    "td": build_td,
-    "hc": build_hc,
-    "phi": build_phi,
-    "ehi": build_ehi,
-    "hi": build_hi,
-}
 
 
 def run_verdict(automaton, tokens, **kwargs):

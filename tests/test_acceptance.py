@@ -15,16 +15,16 @@ import time
 
 import pytest
 
-from headparse import Verdict, augment, engine, run, tau_head, tau_two
+from headparse import (Verdict, augment, differential, engine, run, tau_head,
+                       tau_two)
 from headparse.corpus import (all_inputs, common_infix_family, cyclic_examples,
-                              eligible, gen_eligible, gen_grammar_corpus,
-                              head_grammar_corpus, head_recursive_examples)
+                              eligible, gen_grammar_corpus, head_grammar_corpus,
+                              head_recursive_examples)
 from headparse.oracle import (SubsequenceVerdict, check_subsequence_property,
                               enumerate_language, enumerate_report,
                               useless_symbols)
 from headparse.recognizer_ghi import build_ghi
-from headparse.recognizer_hi import build_hi
-from headparse.recognizers_basic import build_ehi, build_hc, build_phi, build_td
+from headparse.recognizers_basic import build_td
 from headparse.transform import embed
 
 HEAD_SEED = 31415
@@ -33,8 +33,7 @@ HEAD_COUNT = 200
 GEN_COUNT = 100
 MAX_INPUT_LEN = 5
 
-FLAT = (("td", build_td), ("hc", build_hc), ("phi", build_phi),
-        ("ehi", build_ehi), ("hi", build_hi))
+FLAT = tuple(differential.FLAT_BUILDERS.items())
 
 GOLDEN_ROWS = ["3a", "1a", "3b", "1a", "1d", "7b", "2a", "1a, 1d", "4a",
                "3b", "1a, 1d", "5b", "5b", "7a", "1a, 1d", "5a"]
@@ -54,93 +53,22 @@ def gen_corpus():
 
 @pytest.fixture(scope="session")
 def flat_differential(head_corpus):
-    """Every flat recognizer against the oracle on the whole corpus.
-
-    Loop-prone pairs are handled per the loop characterization: top-down is
-    skipped on head-recursive grammars (its stack grows without bound);
-    the other recognizers also run on cyclic grammars, where any completed
-    verdict must still match the oracle.
-    """
-    inputs = all_inputs(("a", "b"), MAX_INPUT_LEN)
-    mismatches = []
-    eligible_limit_hits = []
-    ineligible_limits = 0
-    eligible_runs = 0
-    ineligible_runs = 0
-    skipped_td = 0
-    for index, (g, language) in enumerate(head_corpus):
-        aug = augment(g)
-        automata = []
-        for name, builder in FLAT:
-            is_eligible = eligible(aug, name)
-            if name == "td" and not is_eligible:
-                skipped_td += 1
-                continue
-            automata.append((name, builder(aug), is_eligible))
-        for tokens in inputs:
-            expected = tokens in language
-            for name, automaton, is_eligible in automata:
-                result = run(automaton, tokens, max_steps=200_000)
-                verdict = result.verdict
-                if is_eligible:
-                    eligible_runs += 1
-                    if result.stats.limit_hit:
-                        eligible_limit_hits.append((index, name, tokens))
-                    if (verdict is Verdict.ACCEPT) != expected \
-                            or verdict is Verdict.RESOURCE_LIMIT:
-                        mismatches.append((index, name, tokens, expected, verdict))
-                else:
-                    ineligible_runs += 1
-                    if verdict is Verdict.RESOURCE_LIMIT:
-                        ineligible_limits += 1
-                    elif (verdict is Verdict.ACCEPT) != expected:
-                        mismatches.append((index, name, tokens, expected, verdict))
-    return {
-        "mismatches": mismatches,
-        "eligible_limit_hits": eligible_limit_hits,
-        "eligible_runs": eligible_runs,
-        "ineligible_runs": ineligible_runs,
-        "ineligible_limits": ineligible_limits,
-        "skipped_td": skipped_td,
-    }
+    return differential.check(head_corpus, all_inputs(("a", "b"), MAX_INPUT_LEN),
+                              max_steps=200_000)
 
 
 @pytest.fixture(scope="session")
 def ghi_differential(gen_corpus):
-    inputs = all_inputs(("a", "b"), MAX_INPUT_LEN)
-    mismatches = []
-    eligible_limit_hits = []
-    eligible_runs = 0
-    ineligible_runs = 0
-    ineligible_limits = 0
-    for index, (g, _) in enumerate(gen_corpus):
-        language = enumerate_language(tau_head(g), MAX_INPUT_LEN)
-        automaton = build_ghi(g)
-        is_eligible = gen_eligible(g)
-        for tokens in inputs:
-            expected = tokens in language
-            result = run(automaton, tokens, max_steps=200_000)
-            verdict = result.verdict
-            if is_eligible:
-                eligible_runs += 1
-                if result.stats.limit_hit:
-                    eligible_limit_hits.append((index, tokens))
-                if (verdict is Verdict.ACCEPT) != expected \
-                        or verdict is Verdict.RESOURCE_LIMIT:
-                    mismatches.append((index, tokens, expected, verdict))
-            else:
-                ineligible_runs += 1
-                if verdict is Verdict.RESOURCE_LIMIT:
-                    ineligible_limits += 1
-                elif (verdict is Verdict.ACCEPT) != expected:
-                    mismatches.append((index, tokens, expected, verdict))
-    return {
-        "mismatches": mismatches,
-        "eligible_limit_hits": eligible_limit_hits,
-        "eligible_runs": eligible_runs,
-        "ineligible_runs": ineligible_runs,
-        "ineligible_limits": ineligible_limits,
-    }
+    return differential.check(gen_corpus, all_inputs(("a", "b"), MAX_INPUT_LEN),
+                              max_steps=200_000)
+
+
+def assert_agrees(data):
+    """No wrong completed verdict, and every eligible run completed."""
+    unfinished = [o for o in data.limit_hits
+                  if o.verdict is Verdict.RESOURCE_LIMIT]
+    assert data.mismatches == [], data.mismatches[:5]
+    assert unfinished == [], unfinished[:5]
 
 
 def test_criterion_golden_trace(tree_demo_automaton):
@@ -159,21 +87,20 @@ def test_criterion_golden_trace(tree_demo_automaton):
 
 def test_criterion_differential_flat(flat_differential):
     data = flat_differential
-    assert data["mismatches"] == [], data["mismatches"][:5]
+    assert_agrees(data)
     print("\nPASS differential-flat: %d eligible runs agree with the oracle "
           "(%d opportunistic runs on loop-prone grammars, %d resource-limited; "
           "td skipped on %d head-recursive grammars)"
-          % (data["eligible_runs"], data["ineligible_runs"],
-             data["ineligible_limits"], data["skipped_td"]))
+          % (data.eligible_runs, data.opportunistic_runs, data.limits,
+             data.skipped))
 
 
 def test_criterion_differential_ghi(ghi_differential):
     data = ghi_differential
-    assert data["mismatches"] == [], data["mismatches"][:5]
+    assert_agrees(data)
     print("\nPASS differential-ghi: %d eligible runs agree with the oracle "
           "(%d opportunistic runs on cyclic grammars, %d resource-limited)"
-          % (data["eligible_runs"], data["ineligible_runs"],
-             data["ineligible_limits"]))
+          % (data.eligible_runs, data.opportunistic_runs, data.limits))
 
 
 def test_criterion_transformations_preserve_language(head_corpus, gen_corpus):
@@ -187,8 +114,8 @@ def test_criterion_transformations_preserve_language(head_corpus, gen_corpus):
 
 
 def test_criterion_loop_characterization(flat_differential, ghi_differential):
-    assert flat_differential["eligible_limit_hits"] == []
-    assert ghi_differential["eligible_limit_hits"] == []
+    assert flat_differential.limit_hits == []
+    assert ghi_differential.limit_hits == []
 
     guarded = 0
     for g, inputs in head_recursive_examples():

@@ -2,9 +2,9 @@ import json
 
 import pytest
 
-from headparse import parse_hg
-from headparse.cli import (EXIT_ACCEPT, EXIT_ERROR, EXIT_LIMIT, EXIT_REJECT,
-                           EXIT_USAGE, RunReport, main)
+from headparse import cli, parse_hg
+from headparse.cli import (EXIT_ACCEPT, EXIT_ERROR, EXIT_INTERNAL, EXIT_LIMIT,
+                           EXIT_REJECT, EXIT_USAGE, RunReport, main)
 from headparse.oracle import enumerate_language
 from conftest import DEMO_GHG
 
@@ -162,6 +162,10 @@ def test_compare_random_batch_agrees(capsys):
     out = capsys.readouterr().out
     assert "seed 5" in out
     assert "0 disagreements" in out
+    # the gate's policy: td skipped on head-recursive grammars, the others
+    # also run on loop-prone ones
+    assert ("495 runs (300 on loop-prone grammars), 0 disagreements, "
+            "0 resource limits, td skipped on 7 head-recursive grammars") in out
 
 
 def test_compare_requires_grammar_or_random():
@@ -199,3 +203,31 @@ def test_nonpositive_numeric_flags_are_usage_errors(command, tiny_hg_path, capsy
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "usage error: argument --" in captured.err
+
+
+def _explode(*args, **kwargs):
+    raise RecursionError("maximum recursion depth exceeded")
+
+
+@pytest.mark.parametrize("command", [
+    "recognize --grammar {g} --algorithm hc --chars --input cab",
+    "compare --grammar {g} --chars --input cab",
+    "compare --random 2 --seed 5",
+])
+def test_unexpected_exception_is_internal_error(command, tiny_hg_path,
+                                                monkeypatch, capsys):
+    monkeypatch.setattr(cli.engine, "run", _explode)
+    assert main(command.format(g=tiny_hg_path).split()) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: RecursionError: ")
+
+
+def test_unreplayable_trace_is_internal_error(tiny_hg_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli.engine, "replay", lambda *args, **kwargs: False)
+    code = main(["recognize", "--grammar", tiny_hg_path, "--algorithm", "td",
+                 "--input", "c a b"])
+    assert code == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "accepting trace failed to replay" in captured.err

@@ -181,6 +181,17 @@ def test_detect_cyclic_agrees_with_derivation_oracle():
         assert (detect_cyclic(aug) is not None) == _derivation_cycle_oracle(aug)
 
 
+@pytest.mark.parametrize("detect", [detect_cyclic, detect_head_recursion])
+def test_cycle_search_survives_deep_unit_chain(detect):
+    names = ["N%04d" % i for i in range(3000)]
+    chain = [HeadRule(a, (b,), 0) for a, b in zip(names, names[1:])]
+    open_chain = HeadGrammar(chain + [HeadRule(names[-1], ("a",), 0)], names[0])
+    assert detect(augment(open_chain)) is None
+    closed = HeadGrammar(chain + [HeadRule(names[-1], (names[0],), 0),
+                                  HeadRule(names[-1], ("a",), 0)], names[0])
+    assert detect(augment(closed)) == names
+
+
 def test_augmented_tau_head_demo_rule_count(tree_demo_grammar):
     from headparse import tau_head
     flat = tau_head(tree_demo_grammar)

@@ -50,6 +50,10 @@ def test_replay_rejects_tampered_traces(tiny_grammar):
     bad = Trace(trace.initial,
                 (TraceStep("2a", trace.steps[0].stack),) + trace.steps[1:])
     assert not replay(auto, tokens, bad)
+    # a label no clause of the automaton carries
+    unknown = Trace(trace.initial,
+                    (TraceStep("9z", trace.steps[0].stack),) + trace.steps[1:])
+    assert not replay(auto, tokens, unknown)
     # dropped final step: end stack is not accepting
     short = Trace(trace.initial, trace.steps[:-1])
     assert not replay(auto, tokens, short)
