@@ -2,9 +2,10 @@
 
 Subcommands: recognize, transform, compare, enumerate.
 
-Exit codes: 0 accept, 1 reject, 2 resource limit, 3 grammar or input
-errors, 4 usage errors, 5 verdict disagreement in `compare`, 6 internal
-error (a fault in headparse itself, reported on stderr).
+Exit codes: 0 accept, 1 reject, 2 resource limit (a search bound, or the
+oracle's cap on enumerated sentential forms), 3 grammar or input errors,
+4 usage errors, 5 verdict disagreement in `compare`, 6 internal error (a
+fault in headparse itself, reported on stderr).
 
 `compare --random N` runs the acceptance gate's policy,
 `headparse.differential.check`, over N seeded head grammars: td is skipped
@@ -332,6 +333,9 @@ def main(argv=None) -> int:
     except GrammarError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_ERROR
+    except oracle.EnumerationLimitError as exc:
+        print("error: language enumeration stopped: %s" % exc, file=sys.stderr)
+        return EXIT_LIMIT
     except Exception as exc:
         # a fault in headparse, not a verdict: never exit 0-5 for it
         print("internal error: %s: %s" % (type(exc).__name__, exc),

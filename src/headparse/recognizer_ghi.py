@@ -21,6 +21,7 @@ plain tuples; they never vary.
 
 from __future__ import annotations
 
+from functools import cache, partial
 from typing import NamedTuple, Optional, Union
 
 from .engine import Automaton, Clause
@@ -169,30 +170,17 @@ def build_ghi(g: GenHeadGrammar) -> Automaton:
             return (1, rule_order.get(element, len(rule_order)), "")
         return (0, 0, tree_to_text(element))
 
-    # The Q universe reachable on one grammar is small; memoise the set
-    # operations so repeated scans do not recompute closures.
-    left_cache = {}
-    right_cache = {}
-    goto_cache = {}
+    # The sets reachable on one grammar are few and recur, so each set
+    # operation is computed once per argument: lazy LR table construction.
+    # Display order and text are memoised the same way.
+    side_set = {True: cache(partial(right_set, g)), False: cache(partial(left_set, g))}
+    select = {True: cache(gotoright), False: cache(gotoleft)}
+    goto_sym = cache(goto)
+    render_element = cache(_render_element)
 
-    def left_of(q):
-        out = left_cache.get(q)
-        if out is None:
-            out = left_cache[q] = left_set(g, q)
-        return out
-
-    def right_of(q):
-        out = right_cache.get(q)
-        if out is None:
-            out = right_cache[q] = right_set(g, q)
-        return out
-
-    def goto_sym(q, x):
-        key = (q, x)
-        out = goto_cache.get(key)
-        if out is None:
-            out = goto_cache[key] = goto(q, x)
-        return out
+    @cache
+    def ordered(q):
+        return tuple(sorted(q, key=sort_key))
 
     def make_init(n):
         return RightOpenItem(-1, frozenset((start_rule,)), 0, n)
@@ -200,37 +188,31 @@ def build_ghi(g: GenHeadGrammar) -> Automaton:
     def make_fin(n):
         return DoneItem(-1, start_rule, n)
 
+    def found(item, rightward, edge, q2):
+        """The items `item` becomes once its members `q2` have the subtree on
+        one side found, ending at `edge`: a full item is left open on the
+        other side only; a half-open item is done, one item per member."""
+        if type(item) is FullItem:
+            if rightward:
+                yield LeftOpenItem(item.i, item.k, q2, edge)
+            else:
+                yield RightOpenItem(edge, q2, item.m, item.j)
+        else:
+            for t in ordered(q2):
+                yield DoneItem(item.k, t, edge) if rightward else DoneItem(edge, t, item.m)
+
     # -- 1a..1d: empty-subtree conversions ---------------------------------
 
-    def clause_1a(stack, ctx):
-        top = stack[-1]
-        if type(top) is not FullItem:
-            return
-        q2 = gotoright(top.q, None)
-        if q2:
-            yield 1, (LeftOpenItem(top.i, top.k, q2, top.m),), None
-
-    def clause_1b(stack, ctx):
-        top = stack[-1]
-        if type(top) is not FullItem:
-            return
-        q2 = gotoleft(top.q, None)
-        if q2:
-            yield 1, (RightOpenItem(top.k, q2, top.m, top.j),), None
-
-    def clause_1c(stack, ctx):
-        top = stack[-1]
-        if type(top) is not RightOpenItem:
-            return
-        for t in sorted(gotoright(top.q, None), key=sort_key):
-            yield 1, (DoneItem(top.k, t, top.m),), None
-
-    def clause_1d(stack, ctx):
-        top = stack[-1]
-        if type(top) is not LeftOpenItem:
-            return
-        for t in sorted(gotoleft(top.q, None), key=sort_key):
-            yield 1, (DoneItem(top.k, t, top.m),), None
+    def empty_side(shape, rightward):
+        def matcher(stack, ctx):
+            top = stack[-1]
+            if type(top) is not shape:
+                return
+            q2 = select[rightward](top.q, None)
+            if q2:
+                for item in found(top, rightward, top.m if rightward else top.k, q2):
+                    yield 1, (item,), None
+        return matcher
 
     # -- 2/3: head scans into a pending subtree window ----------------------
 
@@ -239,10 +221,8 @@ def build_ghi(g: GenHeadGrammar) -> Automaton:
             top = stack[-1]
             if type(top) is not shape:
                 return
-            if rightward:
-                base, lo, hi = right_of(top.q), top.m, top.j
-            else:
-                base, lo, hi = left_of(top.q), top.i, top.k
+            base = side_set[rightward](top.q)
+            lo, hi = (top.m, top.j) if rightward else (top.i, top.k)
             for p in range(lo + 1, hi + 1):
                 q2 = goto_sym(base, ctx.tokens[p - 1])
                 if q2:
@@ -261,27 +241,12 @@ def build_ghi(g: GenHeadGrammar) -> Automaton:
                 return
             if type(below) is not shape:
                 return
-            if rightward:
-                if below.m != top.k:
-                    return
-                q2 = gotoright(below.q, top.t)
-            else:
-                if below.k != top.m:
-                    return
-                q2 = gotoleft(below.q, top.t)
-            if not q2:
+            if (below.m != top.k) if rightward else (below.k != top.m):
                 return
-            if shape is FullItem:
-                if rightward:
-                    yield 2, (LeftOpenItem(below.i, below.k, q2, top.m),), None
-                else:
-                    yield 2, (RightOpenItem(top.k, q2, below.m, below.j),), None
-            else:
-                for t2 in sorted(q2, key=sort_key):
-                    if rightward:
-                        yield 2, (DoneItem(below.k, t2, top.m),), None
-                    else:
-                        yield 2, (DoneItem(top.k, t2, below.m),), None
+            q2 = select[rightward](below.q, top.t)
+            if q2:
+                for item in found(below, rightward, top.m if rightward else top.k, q2):
+                    yield 2, (item,), None
         return matcher
 
     # -- 6/7: attach a completed rule as a new subtree root -----------------
@@ -296,25 +261,19 @@ def build_ghi(g: GenHeadGrammar) -> Automaton:
                 return
             if type(below) is not shape:
                 return
-            if rightward:
-                if not below.m <= top.k:
-                    return
-                q2 = goto_sym(right_of(below.q), top.t.lhs)
-                if q2:
-                    yield 1, (FullItem(below.m, top.k, q2, top.m, below.j),), None
-            else:
-                if not top.m <= below.k:
-                    return
-                q2 = goto_sym(left_of(below.q), top.t.lhs)
-                if q2:
-                    yield 1, (FullItem(below.i, top.k, q2, top.m, below.k),), None
+            if not (below.m <= top.k if rightward else top.m <= below.k):
+                return
+            q2 = goto_sym(side_set[rightward](below.q), top.t.lhs)
+            if q2:
+                lo, hi = (below.m, below.j) if rightward else (below.i, below.k)
+                yield 1, (FullItem(lo, top.k, q2, top.m, hi),), None
         return matcher
 
     clauses = (
-        Clause("1a", clause_1a),
-        Clause("1b", clause_1b),
-        Clause("1c", clause_1c),
-        Clause("1d", clause_1d),
+        Clause("1a", empty_side(FullItem, True)),
+        Clause("1b", empty_side(FullItem, False)),
+        Clause("1c", empty_side(RightOpenItem, True)),
+        Clause("1d", empty_side(LeftOpenItem, False)),
         Clause("2a", scan(FullItem, True)),
         Clause("2b", scan(FullItem, False)),
         Clause("3a", scan(RightOpenItem, True)),
@@ -332,9 +291,8 @@ def build_ghi(g: GenHeadGrammar) -> Automaton:
     def render_item(item):
         kind = type(item)
         if kind is DoneItem:
-            return "[%d, %s, %d]" % (item.k, _render_element(item.t), item.m)
-        body = "{%s}" % ", ".join(
-            _render_element(e) for e in sorted(item.q, key=sort_key))
+            return "[%d, %s, %d]" % (item.k, render_element(item.t), item.m)
+        body = "{%s}" % ", ".join(map(render_element, ordered(item.q)))
         if kind is FullItem:
             return "[%d, %d, %s, %d, %d]" % (item.i, item.k, body, item.m, item.j)
         if kind is RightOpenItem:

@@ -19,6 +19,7 @@ set contains the finished start rule.
 
 from __future__ import annotations
 
+from functools import cache, partial
 from typing import NamedTuple
 
 from .engine import Automaton, Clause
@@ -121,10 +122,18 @@ def _render_hi(aug):
     return render
 
 
-def build_hi(aug: AugmentedGrammar, rels: Relations = None) -> Automaton:
-    if rels is None:
-        rels = compute_relations(aug)
+def build_hi(aug: AugmentedGrammar) -> Automaton:
+    rels = compute_relations(aug)
     rules = aug.rules
+
+    def transition(goto):
+        # With the grammar fixed a goto is a function of (state, symbol)
+        # alone, so each automaton computes it once per pair: lazy LR
+        # table construction.
+        return cache(partial(goto, aug, rels))
+
+    goto1 = {True: transition(gotoright1), False: transition(gotoleft1)}
+    goto2 = {True: transition(gotoright2), False: transition(gotoleft2)}
 
     def make_init(n):
         return HiItem(-1, -1, frozenset(((aug.start_rule_id, 0, 1),)), 0, n)
@@ -149,7 +158,7 @@ def build_hi(aug: AugmentedGrammar, rels: Relations = None) -> Automaton:
         return accepting
 
     def new_head_side(rightward):
-        goto1 = gotoright1 if rightward else gotoleft1
+        goto = goto1[rightward]
 
         def matcher(stack, ctx):
             top = stack[-1]
@@ -160,24 +169,24 @@ def build_hi(aug: AugmentedGrammar, rels: Relations = None) -> Automaton:
                 lo, hi = top.i, top.k
                 positions = range(top.i + 1, top.k)
             for p in positions:
-                q2 = goto1(aug, rels, top.q, ctx.tokens[p - 1])
+                q2 = goto(top.q, ctx.tokens[p - 1])
                 if q2:
                     yield 1, (top, HiItem(lo, p - 1, q2, p, hi)), p
         return matcher
 
     def scan_side(rightward):
-        goto2 = gotoright2 if rightward else gotoleft2
+        goto = goto2[rightward]
 
         def matcher(stack, ctx):
             top = stack[-1]
             if rightward:
                 if top.m < top.j:
-                    q2 = goto2(aug, rels, top.q, ctx.tokens[top.m])
+                    q2 = goto(top.q, ctx.tokens[top.m])
                     if q2:
                         yield 1, (top, HiItem(top.i, top.k, q2, top.m + 1, top.j)), top.m + 1
             else:
                 if top.i < top.k:
-                    q2 = goto2(aug, rels, top.q, ctx.tokens[top.k - 1])
+                    q2 = goto(top.q, ctx.tokens[top.k - 1])
                     if q2:
                         yield 1, (top, HiItem(top.i, top.k - 1, q2, top.m, top.j)), top.k
         return matcher
@@ -187,62 +196,33 @@ def build_hi(aug: AugmentedGrammar, rels: Relations = None) -> Automaton:
         return all(chain[t].k >= chain[t + 1].k and chain[t].m <= chain[t + 1].m
                    for t in range(len(chain) - 1))
 
-    def reduce_new_head_side(rightward):
-        goto1 = gotoright1 if rightward else gotoleft1
+    def reduce_side(rightward, advance):
+        """A finished rule on top pops its members and passes its left-hand
+        side to a goto of the context item below them: the fresh-head goto
+        when the rule's span lies beyond the context's (3a/3b), the
+        advancing goto when it starts at an edge of the context's (4a/4b)."""
+        goto = (goto2 if advance else goto1)[rightward]
 
         def matcher(stack, ctx):
             top = stack[-1]
             emitted = set()
             for rid, ld, rd in sorted(top.q):
-                rhs = rules[rid].rhs
-                if ld != 0 or rd != len(rhs):
-                    continue
-                size = len(rhs)
-                if len(stack) < size + 1:
+                size = len(rules[rid].rhs)
+                if ld != 0 or rd != size or len(stack) < size + 1:
                     continue
                 context = stack[-(size + 1)]
-                if rightward:
-                    if not context.m < top.k:
+                if advance:
+                    if (top.k if rightward else top.m) not in (context.m, context.k):
                         continue
-                else:
-                    if not top.m < context.k:
-                        continue
-                q2 = goto1(aug, rels, context.q, rules[rid].lhs)
+                elif not (context.m < top.k if rightward else top.m < context.k):
+                    continue
+                q2 = goto(context.q, rules[rid].lhs)
                 if not q2:
                     continue
                 assert _chained(stack[len(stack) - size:])
-                new = HiItem(top.i, top.k, q2, top.m, top.j)
-                key = (size, new)
-                if key not in emitted:
-                    emitted.add(key)
-                    yield size, (new,), None
-        return matcher
-
-    def reduce_advance_side(rightward):
-        goto2 = gotoright2 if rightward else gotoleft2
-
-        def matcher(stack, ctx):
-            top = stack[-1]
-            emitted = set()
-            for rid, ld, rd in sorted(top.q):
-                rhs = rules[rid].rhs
-                if ld != 0 or rd != len(rhs):
-                    continue
-                size = len(rhs)
-                if len(stack) < size + 1:
-                    continue
-                context = stack[-(size + 1)]
-                if rightward:
-                    if not (context.m == top.k or context.k == top.k):
-                        continue
-                else:
-                    if not (context.k == top.m or context.m == top.m):
-                        continue
-                q2 = goto2(aug, rels, context.q, rules[rid].lhs)
-                if not q2:
-                    continue
-                assert _chained(stack[len(stack) - size:])
-                if rightward:
+                if not advance:
+                    new = HiItem(top.i, top.k, q2, top.m, top.j)
+                elif rightward:
                     assert context.j == top.j
                     new = HiItem(context.i, context.k, q2, top.m, top.j)
                 else:
@@ -259,10 +239,10 @@ def build_hi(aug: AugmentedGrammar, rels: Relations = None) -> Automaton:
         Clause("1b", new_head_side(False)),
         Clause("2a", scan_side(True)),
         Clause("2b", scan_side(False)),
-        Clause("3a", reduce_new_head_side(True)),
-        Clause("3b", reduce_new_head_side(False)),
-        Clause("4a", reduce_advance_side(True)),
-        Clause("4b", reduce_advance_side(False)),
+        Clause("3a", reduce_side(True, advance=False)),
+        Clause("3b", reduce_side(False, advance=False)),
+        Clause("4a", reduce_side(True, advance=True)),
+        Clause("4b", reduce_side(False, advance=True)),
     )
     return Automaton("hi", clauses, make_init, make_fin, _render_hi(aug),
                      (len(rules), len(aug.nonterminals)),

@@ -49,12 +49,17 @@ class Tree:
         return self.left is None and self.right is None
 
     def __eq__(self, other):
-        if self is other:
-            return True
         if not isinstance(other, Tree):
             return NotImplemented
-        return (self._hash == other._hash and self.root == other.root
-                and self.left == other.left and self.right == other.right)
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            if a is None or b is None or a._hash != b._hash or a.root != b.root:
+                return False
+            pairs += ((a.right, b.right), (a.left, b.left))
+        return True
 
     def __hash__(self):
         return self._hash
@@ -63,13 +68,29 @@ class Tree:
         return "Tree(%r)" % tree_to_text(self)
 
 
-def tree_to_text(t: Tree) -> str:
-    out = t.root
-    if t.left is not None:
-        out = "(%s)%s" % (tree_to_text(t.left), out)
-    if t.right is not None:
-        out = "%s(%s)" % (out, tree_to_text(t.right))
+def _unfold(t: Optional[Tree], parts) -> list:
+    """The strings that `parts` spells out for `t`, in order.  `parts(node)`
+    lists a node's strings and subtrees; a stack in place of recursion
+    takes trees of any depth."""
+    out = []
+    todo = [t]
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+        else:
+            todo += parts(item)[::-1]
     return out
+
+
+def _text_parts(node):
+    left = () if node.left is None else ("(", node.left, ")")
+    right = () if node.right is None else ("(", node.right, ")")
+    return left + (node.root,) + right
+
+
+def tree_to_text(t: Tree) -> str:
+    return "".join(_unfold(t, _text_parts))
 
 
 def bracket_symbol(t: Tree) -> str:
@@ -83,26 +104,17 @@ def bracket_symbol(t: Tree) -> str:
 
 def tree_yield(t: Tree) -> tuple:
     """In-order traversal: the plain-string right-hand side of the tree."""
-    out = []
-
-    def walk(node):
-        if node.left is not None:
-            walk(node.left)
-        out.append(node.root)
-        if node.right is not None:
-            walk(node.right)
-
-    walk(t)
-    return tuple(out)
+    return tuple(_unfold(t, lambda node: tuple(
+        part for part in (node.left, node.root, node.right) if part is not None)))
 
 
 def subtrees(t: Tree):
     """All subtree nodes of `t`, including `t` itself (preorder)."""
-    yield t
-    if t.left is not None:
-        yield from subtrees(t.left)
-    if t.right is not None:
-        yield from subtrees(t.right)
+    todo = [t]
+    while todo:
+        node = todo.pop()
+        yield node
+        todo.extend(child for child in (node.right, node.left) if child is not None)
 
 
 class GenHeadRule(NamedTuple):
@@ -174,14 +186,13 @@ def tau_head(g: GenHeadGrammar) -> HeadGrammar:
     rules = [_flatten_rule(r.lhs, r.rhs) for r in g.rules]
     seen = {}  # ordered set of proper subtrees, parents first
 
-    def collect(node):
-        for child in (node.left, node.right):
-            if child is not None and child not in seen:
-                seen[child] = None
-                collect(child)
-
     for r in g.rules:
-        collect(r.rhs)
+        todo = [r.rhs.right, r.rhs.left]
+        while todo:
+            node = todo.pop()
+            if node is not None and node not in seen:
+                seen[node] = None
+                todo += (node.right, node.left)
     rules.extend(_flatten_rule(bracket_symbol(t), t) for t in seen)
     return HeadGrammar(rules, g.start)
 
@@ -296,24 +307,36 @@ def _parse_tree(tokens, pos, line_no, source):
         col = tokens[at][0] if at < len(tokens) else (tokens[-1][0] if tokens else 1)
         raise GrammarFormatError(msg, line_no, col, source)
 
-    if pos >= len(tokens) or tokens[pos][1] != "(":
-        fail("expected '('", pos)
-    pos += 1
-    if pos >= len(tokens):
-        fail("unterminated tree", pos)
-    if tokens[pos][1] == ")":  # "()" : the empty subtree
-        return None, pos + 1
-    root = tokens[pos][1]
-    if root in "()":
-        fail("expected symbol", pos)
-    pos += 1
-    if pos < len(tokens) and tokens[pos][1] == ")":
-        return Tree(root), pos + 1
-    left, pos = _parse_tree(tokens, pos, line_no, source)
-    right, pos = _parse_tree(tokens, pos, line_no, source)
-    if pos >= len(tokens) or tokens[pos][1] != ")":
-        fail("expected ')'", pos)
-    return Tree(root, left, right), pos + 1
+    open_nodes = []  # (root, children found so far) of unfinished inner nodes
+    while True:
+        if pos >= len(tokens) or tokens[pos][1] != "(":
+            fail("expected '('", pos)
+        pos += 1
+        if pos >= len(tokens):
+            fail("unterminated tree", pos)
+        if tokens[pos][1] == ")":  # "()" : the empty subtree
+            tree, pos = None, pos + 1
+        else:
+            root = tokens[pos][1]
+            if root in "()":
+                fail("expected symbol", pos)
+            pos += 1
+            if pos >= len(tokens) or tokens[pos][1] != ")":
+                open_nodes.append((root, []))
+                continue
+            tree, pos = Tree(root), pos + 1
+        # a finished subtree finishes every open node it is the right child of
+        while open_nodes:
+            root, children = open_nodes[-1]
+            children.append(tree)
+            if len(children) < 2:
+                break
+            if pos >= len(tokens) or tokens[pos][1] != ")":
+                fail("expected ')'", pos)
+            open_nodes.pop()
+            tree, pos = Tree(root, *children), pos + 1
+        else:
+            return tree, pos
 
 
 def parse_ghg(text: str, source: str = "<string>") -> GenHeadGrammar:
@@ -354,12 +377,16 @@ def parse_ghg(text: str, source: str = "<string>") -> GenHeadGrammar:
     return g
 
 
+def _src_parts(node):
+    if node is None:
+        return ("()",)
+    if node.is_leaf:
+        return ("(", node.root, ")")
+    return ("(", node.root, " ", node.left, " ", node.right, ")")
+
+
 def _tree_to_src(t: Optional[Tree]) -> str:
-    if t is None:
-        return "()"
-    if t.is_leaf:
-        return "(%s)" % t.root
-    return "(%s %s %s)" % (t.root, _tree_to_src(t.left), _tree_to_src(t.right))
+    return "".join(_unfold(t, _src_parts))
 
 
 def format_ghg(g: GenHeadGrammar, comments: Iterable = ()) -> str:

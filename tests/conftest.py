@@ -17,6 +17,11 @@ A -> (a)
 B -> (A () (b))
 """
 
+# one rule whose tree nests deeper than Python's default recursion limit
+DEEP_DEPTH = 1200
+DEEP_GHG = "start S\nS -> %s(a)%s\n" % ("(a " * (DEEP_DEPTH - 1),
+                                        " ())" * (DEEP_DEPTH - 1))
+
 
 def run_verdict(automaton, tokens, **kwargs):
     return engine.run(automaton, tokens, **kwargs).verdict

@@ -6,7 +6,7 @@ from headparse import cli, parse_hg
 from headparse.cli import (EXIT_ACCEPT, EXIT_ERROR, EXIT_INTERNAL, EXIT_LIMIT,
                            EXIT_REJECT, EXIT_USAGE, RunReport, main)
 from headparse.oracle import enumerate_language
-from conftest import DEMO_GHG
+from conftest import DEEP_GHG, DEMO_GHG
 
 TINY_HG = "start S\nS -> c *A b\nA -> *a\n"
 
@@ -82,6 +82,15 @@ def test_flat_algorithm_rejects_tree_grammar(demo_ghg_path):
     code = main(["recognize", "--grammar", demo_ghg_path, "--algorithm", "td",
                  "--input", "c a b s"])
     assert code == EXIT_USAGE
+
+
+def test_deep_tree_grammar_gets_a_verdict(tmp_path, capsys):
+    path = tmp_path / "deep.ghg"
+    path.write_text(DEEP_GHG, encoding="utf-8")
+    code = main(["recognize", "--grammar", str(path), "--algorithm", "ghi",
+                 "--input", "a"])
+    assert code == EXIT_REJECT
+    assert "ghi: reject" in capsys.readouterr().out
 
 
 def test_parse_error_exit_code(tmp_path):
@@ -221,6 +230,15 @@ def test_unexpected_exception_is_internal_error(command, tiny_hg_path,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("internal error: RecursionError: ")
+
+
+def test_enumeration_cap_is_a_resource_limit(tmp_path, capsys):
+    path = tmp_path / "binary.hg"
+    path.write_text("start S\nS -> *S S\nS -> *a\nS -> *b\n", encoding="utf-8")
+    code = main(["enumerate", "--grammar", str(path), "--max-len", "16"])
+    assert code == EXIT_LIMIT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_unreplayable_trace_is_internal_error(tiny_hg_path, monkeypatch, capsys):

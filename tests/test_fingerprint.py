@@ -1,23 +1,26 @@
-"""Behaviour fingerprint of the flat recognizers, pinned to exact values.
+"""Behaviour fingerprint of the recognizers, pinned to exact values.
 
 A refactor of a recognizer or of the engine must leave every verdict and
 every run statistic unchanged, not only the orderings the acceptance gate
 checks.  Each recognizer runs exhaustively over a seeded corpus slice; the
 per-recognizer totals show which figure moved, and the digest covers every
-run's record.  The phi and ehi accepting traces are pinned as rendered
-text.
+run's record.  The accepting traces of phi, ehi, hi and ghi are pinned as
+rendered text, which also fixes the order in which ghi displays a set.
 """
 
 import hashlib
 
 import pytest
 
-from headparse import accepting_trace, augment, render_trace_text, run
+from headparse import (accepting_trace, augment, build_ghi, embed,
+                       enumerate_language, parse_ghg, render_trace_text, run)
 from headparse.corpus import (all_inputs, common_infix_family, eligible,
+                              gen_eligible, gen_grammar_corpus,
                               head_grammar_corpus)
-from conftest import FLAT_BUILDERS
+from conftest import DEMO_GHG, FLAT_BUILDERS
 
 GRAMMARS = head_grammar_corpus(40, seed=1300)
+TREE_GRAMMARS = gen_grammar_corpus(40, seed=1301)
 INPUTS = all_inputs(("a", "b"), 3)
 
 # runs, accepts, rejects, resource limits, then the sums of
@@ -30,10 +33,19 @@ PINNED_RUNS = {
     "ehi": (510, 65, 445, 0, 2834, 2373, 1065, 49, 655, "e43cb99da51de4c5"),
     "hi": (510, 65, 445, 0, 2178, 1703, 1076, 35, 574, "d46874f792b7c002"),
 }
+PINNED_GHI_RUNS = (465, 49, 416, 0, 9878, 11310, 1029, 1897, 567,
+                   "76397a26214060bc")
 
 PINNED_TRACES = {
     "phi": "889338d9a0c424bf",
     "ehi": "7c5465f37b48ff8c",
+}
+
+# hi on the same family, ghi on its embedding and on the demo tree grammar
+PINNED_HEAD_INWARD_TRACES = {
+    "hi": "ba1bf18eea29fe52",
+    "ghi-embed": "58032082127d34a2",
+    "ghi-demo": "6deb1d1d2ff9deaa",
 }
 
 # one trace in full, where ehi merges the left-hand sides S and T
@@ -65,13 +77,11 @@ def _digest(value):
     return hashlib.sha256(repr(value).encode("utf-8")).hexdigest()[:16]
 
 
-def _run_summary(name):
+def _run_summary(automata):
+    """Totals and record digest of exhaustive runs of (grammar index,
+    automaton) pairs over every input."""
     records = []
-    for index, g in enumerate(GRAMMARS):
-        aug = augment(g)
-        if not eligible(aug, name):
-            continue
-        automaton = FLAT_BUILDERS[name](aug)
+    for index, automaton in automata:
         for tokens in INPUTS:
             result = run(automaton, tokens, exhaustive=True)
             s = result.stats
@@ -86,10 +96,23 @@ def _run_summary(name):
             sum(len(r[7]) for r in records), _digest(records))
 
 
+def _flat_automata(name):
+    for index, g in enumerate(GRAMMARS):
+        aug = augment(g)
+        if eligible(aug, name):
+            yield index, FLAT_BUILDERS[name](aug)
+
+
 def _trace_texts(name):
+    if name == "ghi-demo":
+        demo = parse_ghg(DEMO_GHG)
+        cases = [(build_ghi(demo), sorted(enumerate_language(demo, 4)))]
+    else:
+        build = (lambda g: build_ghi(embed(g))) if name == "ghi-embed" \
+            else (lambda g: FLAT_BUILDERS[name](augment(g)))
+        cases = [(build(g), inputs) for g, inputs in common_infix_family()]
     texts = []
-    for g, inputs in common_infix_family():
-        automaton = FLAT_BUILDERS[name](augment(g))
+    for automaton, inputs in cases:
         for tokens in inputs:
             result = run(automaton, tokens)
             texts.append(render_trace_text(automaton, accepting_trace(result)))
@@ -98,7 +121,13 @@ def _trace_texts(name):
 
 @pytest.mark.parametrize("name", sorted(PINNED_RUNS))
 def test_run_statistics_pinned(name):
-    assert _run_summary(name) == PINNED_RUNS[name]
+    assert _run_summary(_flat_automata(name)) == PINNED_RUNS[name]
+
+
+def test_ghi_run_statistics_pinned():
+    automata = ((index, build_ghi(g)) for index, g in enumerate(TREE_GRAMMARS)
+                if gen_eligible(g))
+    assert _run_summary(automata) == PINNED_GHI_RUNS
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_TRACES))
@@ -107,3 +136,8 @@ def test_infix_traces_pinned(name):
     assert tuple(line.rstrip() for line in texts[4].splitlines()) \
         == PINNED_TEXT[name]
     assert _digest(texts) == PINNED_TRACES[name]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_HEAD_INWARD_TRACES))
+def test_head_inward_traces_pinned(name):
+    assert _digest(_trace_texts(name)) == PINNED_HEAD_INWARD_TRACES[name]

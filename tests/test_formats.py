@@ -2,10 +2,10 @@ import pytest
 
 from headparse import (GrammarError, GrammarFormatError, HeadGrammar,
                        file_safe_grammar, format_ghg, format_hg, parse_ghg,
-                       parse_hg, tau_head)
+                       parse_hg, tau_head, tree_yield)
 from headparse.corpus import gen_grammar_corpus, head_grammar_corpus
 from headparse.transform import Tree
-from conftest import hg
+from conftest import DEEP_DEPTH, DEEP_GHG, hg
 
 
 def test_parse_hg_basic():
@@ -97,6 +97,14 @@ def test_ghg_round_trip_demo(tree_demo_grammar):
 def test_ghg_round_trip_on_corpus():
     for g in gen_grammar_corpus(25, seed=602):
         assert parse_ghg(format_ghg(g)) == g
+
+
+def test_deep_ghg_tree_parses_round_trips_and_flattens():
+    g = parse_ghg(DEEP_GHG)
+    assert tree_yield(g.rules[0].rhs) == ("a",) * DEEP_DEPTH
+    assert parse_ghg(format_ghg(g)) == g
+    # the rule itself plus one rule per proper subtree
+    assert len(tau_head(g).rules) == DEEP_DEPTH
 
 
 def test_parse_ghg_rejects_empty_rule_tree():
