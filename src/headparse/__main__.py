@@ -1,0 +1,6 @@
+"""`python -m headparse`: the same command line as `headparse`."""
+
+from .cli import console_main
+
+if __name__ == "__main__":
+    console_main()

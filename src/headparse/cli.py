@@ -10,6 +10,7 @@ fault in headparse itself, reported on stderr).
 `compare --random N` runs the acceptance gate's policy,
 `headparse.differential.check`, over N seeded head grammars: td is skipped
 on head-recursive grammars, and hc/phi/ehi/hi also run on cyclic ones.
+`compare --grammar` without `--algorithms` skips td the same way.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import differential, engine, oracle
-from .corpus import all_inputs, head_grammar_corpus
+from .corpus import all_inputs, eligible, head_grammar_corpus
 from .differential import FLAT_BUILDERS
 from .grammar import GrammarError, augment, file_safe_grammar, format_hg, parse_hg
 from .recognizer_ghi import build_ghi
@@ -157,10 +158,10 @@ def cmd_recognize(args) -> int:
         trace = engine.accepting_trace(result)
         if not engine.replay(automaton, tokens, trace):
             raise engine.EngineError("accepting trace failed to replay")
-        if args.trace:
+        if args.trace and args.json:
             trace_recs = engine.trace_records(automaton, trace)
-            if not args.json:
-                print(engine.render_trace_text(automaton, trace), end="")
+        elif args.trace:
+            print(engine.render_trace_text(automaton, trace), end="")
     report = RunReport(grammar=args.grammar, algorithm=args.algorithm,
                        input=list(tokens), verdict=result.verdict.value,
                        stats=_stats_dict(result.stats), trace=trace_recs)
@@ -221,6 +222,7 @@ def cmd_compare(args) -> int:
         return _compare_random(args)
     grammar = _load_grammar(args.grammar)
     tokens = _tokens(args)
+    td_skipped = False
     if args.algorithms:
         algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
         for name in algorithms:
@@ -229,10 +231,15 @@ def cmd_compare(args) -> int:
     elif isinstance(grammar, GenHeadGrammar):
         algorithms = ["ghi"]
     else:
-        algorithms = list(FLAT_BUILDERS)
+        # td's stack grows to the depth bound on a head-recursive grammar
+        td_skipped = not eligible(augment(grammar), "td")
+        algorithms = [name for name in FLAT_BUILDERS
+                      if not (td_skipped and name == "td")]
     rows = _compare_rows(grammar, tokens, algorithms, args.embed,
                          _run_limits(args), args.exhaustive)
     _print_table(rows)
+    if td_skipped:
+        print("td skipped: grammar is head-recursive")
     verdicts = {r.verdict for _, r in rows if r.verdict is not engine.Verdict.RESOURCE_LIMIT}
     if len(verdicts) > 1:
         print("error: verdicts disagree", file=sys.stderr)

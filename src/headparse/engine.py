@@ -87,9 +87,6 @@ class Automaton:
             return len(stack) == 1 and stack[0] == fin
         return accepting
 
-    def render_stack(self, stack):
-        return " ".join(self.render_item(item) for item in stack)
-
 
 class TraceStep(NamedTuple):
     label: str
@@ -285,10 +282,37 @@ def trace_rows(automaton: Automaton, trace: Trace):
     return [(s.label, s.stack) for s in trace.steps]
 
 
+class _ItemTexts(dict):
+    """item -> `render(item)`, each distinct item rendered on first use."""
+
+    def __init__(self, render):
+        super().__init__()
+        self.render = render
+
+    def __missing__(self, item):
+        text = self[item] = self.render(item)
+        return text
+
+
+def _rendered_rows(automaton: Automaton, trace: Trace) -> list:
+    """(label, item texts) per display row, the initial stack first with
+    label None.
+
+    Rows share all but their top few items, so the texts come from a memo
+    that lives for this call: a trace k deep renders O(k) distinct items
+    instead of O(k^2) stacked ones.  Keying the memo by item equality is
+    safe because `render_item` reads nothing but the item, and equal items
+    of one automaton have one class: its item classes differ in arity or
+    carry a `tag` field, so NamedTuples of two classes never compare equal.
+    """
+    texts = _ItemTexts(automaton.render_item)
+    rows = [(None, trace.initial)] + trace_rows(automaton, trace)
+    return [(label, list(map(texts.__getitem__, stack))) for label, stack in rows]
+
+
 def render_trace_text(automaton: Automaton, trace: Trace) -> str:
-    rows = [("", trace.initial)] + [(label, stack) for label, stack in
-                                    trace_rows(automaton, trace)]
-    rendered = [(automaton.render_stack(stack), label) for label, stack in rows]
+    rendered = [(" ".join(texts), "" if label is None else label)
+                for label, texts in _rendered_rows(automaton, trace)]
     width = max(len(s) for s, _ in rendered)
     width = max(width, len("Stack"))
     lines = ["%-*s | %s" % (width, "Stack", "Clause")]
@@ -298,9 +322,5 @@ def render_trace_text(automaton: Automaton, trace: Trace) -> str:
 
 def trace_records(automaton: Automaton, trace: Trace) -> list:
     """Structured trace: one record per display row."""
-    out = [{"clause": None,
-            "stack": [automaton.render_item(i) for i in trace.initial]}]
-    for label, stack in trace_rows(automaton, trace):
-        out.append({"clause": label,
-                    "stack": [automaton.render_item(i) for i in stack]})
-    return out
+    return [{"clause": label, "stack": texts}
+            for label, texts in _rendered_rows(automaton, trace)]

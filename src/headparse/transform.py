@@ -163,15 +163,42 @@ def validate_gen(g: GenHeadGrammar) -> list:
     return out
 
 
-def _flatten_rule(lhs: str, t: Tree) -> HeadRule:
+def _flatten_rule(lhs: str, t: Tree, names) -> HeadRule:
     members = []
     if t.left is not None:
-        members.append(bracket_symbol(t.left))
+        members.append(names[t.left])
     head = len(members)
     members.append(t.root)
     if t.right is not None:
-        members.append(bracket_symbol(t.right))
+        members.append(names[t.right])
     return HeadRule(lhs, tuple(members), head)
+
+
+def _bracket_names(trees) -> dict:
+    """`bracket_symbol` of each tree in `trees` and of its subtrees.
+
+    Each distinct subtree's text is composed once, as ``(left)root(right)``
+    from its children's texts, so naming costs the length of the names
+    rather than one full rendering per subtree.
+    """
+    texts = {}
+    for top in trees:
+        todo = [top]
+        while todo:
+            node = todo[-1]
+            if node in texts:
+                todo.pop()
+                continue
+            pending = [child for child in (node.left, node.right)
+                       if child is not None and child not in texts]
+            if pending:
+                todo += pending
+                continue
+            todo.pop()
+            left = "" if node.left is None else "(%s)" % texts[node.left]
+            right = "" if node.right is None else "(%s)" % texts[node.right]
+            texts[node] = left + node.root + right
+    return {node: "[%s]" % text for node, text in texts.items()}
 
 
 def tau_head(g: GenHeadGrammar) -> HeadGrammar:
@@ -183,9 +210,7 @@ def tau_head(g: GenHeadGrammar) -> HeadGrammar:
     Identical subtrees are merged across the whole grammar, so the output
     has exactly rules(g) + (number of distinct proper subtrees) rules.
     """
-    rules = [_flatten_rule(r.lhs, r.rhs) for r in g.rules]
     seen = {}  # ordered set of proper subtrees, parents first
-
     for r in g.rules:
         todo = [r.rhs.right, r.rhs.left]
         while todo:
@@ -193,7 +218,11 @@ def tau_head(g: GenHeadGrammar) -> HeadGrammar:
             if node is not None and node not in seen:
                 seen[node] = None
                 todo += (node.right, node.left)
-    rules.extend(_flatten_rule(bracket_symbol(t), t) for t in seen)
+    # a subtree first met under one rule can recur under a later parent,
+    # so `seen` is not children-first in general
+    names = _bracket_names(seen)
+    rules = [_flatten_rule(r.lhs, r.rhs, names) for r in g.rules]
+    rules.extend(_flatten_rule(names[t], t, names) for t in seen)
     return HeadGrammar(rules, g.start)
 
 

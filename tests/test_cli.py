@@ -1,4 +1,6 @@
 import json
+import runpy
+import sys
 
 import pytest
 
@@ -165,6 +167,20 @@ def test_compare_table_uniform_verdicts(tiny_hg_path, capsys):
     assert {row[1] for row in body} == {"accept"}
 
 
+def test_compare_skips_td_on_head_recursive_grammar(tmp_path, capsys):
+    path = tmp_path / "center.hg"
+    path.write_text("start S\nS -> a *S b\nS -> *c\n", encoding="utf-8")
+    argv = ["compare", "--grammar", str(path), "--input", "a a a c b b b"]
+    assert main(argv) == EXIT_ACCEPT
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert [line.split()[0] for line in lines[1:-1]] == ["hc", "phi", "ehi", "hi"]
+    assert lines[-1] == "td skipped: grammar is head-recursive"
+    # an explicit choice still runs td
+    assert main(argv + ["--algorithms", "td,hc"]) == EXIT_ACCEPT
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert [line.split()[0] for line in lines[1:]] == ["td", "hc"]
+
+
 def test_compare_random_batch_agrees(capsys):
     code = main(["compare", "--random", "8", "--max-len", "3", "--seed", "5"])
     assert code == EXIT_ACCEPT
@@ -249,3 +265,11 @@ def test_unreplayable_trace_is_internal_error(tiny_hg_path, monkeypatch, capsys)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "accepting trace failed to replay" in captured.err
+
+
+def test_python_dash_m_runs_the_cli(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["headparse", "--help"])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_module("headparse", run_name="__main__")
+    assert exit_info.value.code == 0
+    assert "recognize" in capsys.readouterr().out

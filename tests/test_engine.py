@@ -1,8 +1,10 @@
+import dataclasses
+
 import pytest
 
 from headparse import (EngineError, Verdict, accepting_trace, augment,
-                       detect_cyclic, detect_head_recursion, engine, replay,
-                       render_trace_text, run)
+                       build_ghi, detect_cyclic, detect_head_recursion, embed,
+                       engine, replay, render_trace_text, run, trace_records)
 from headparse.corpus import all_inputs, head_grammar_corpus, eligible
 from headparse.recognizers_basic import build_td
 from conftest import FLAT_BUILDERS, hg
@@ -75,6 +77,29 @@ def test_trace_render_has_one_row_per_step(tiny_grammar):
     lines = text.strip().splitlines()
     assert lines[0].split("|")[1].strip() == "Clause"
     assert len(lines) == 2 + len(trace.steps)  # header + initial + steps
+
+
+@pytest.mark.parametrize("name", ["td", "ehi", "hi", "ghi"])
+def test_trace_output_renders_each_distinct_item_once(name):
+    # rows share all but their top few items, so a trace k deep holds O(k)
+    # distinct items in O(k^2) stacked ones
+    if name == "ghi":
+        automaton = build_ghi(embed(hg("S", ("S", "*a S b"), ("S", "*c"))))
+    else:
+        rhs = "a *S b" if name == "hi" else "*a S b"
+        automaton = FLAT_BUILDERS[name](augment(hg("S", ("S", rhs), ("S", "*c"))))
+    trace = accepting_trace(run(automaton, ("a",) * 15 + ("c",) + ("b",) * 15))
+    distinct = set(trace.initial).union(*(step.stack for step in trace.steps))
+    calls = []
+
+    def render_item(item):
+        calls.append(item)
+        return automaton.render_item(item)
+    counted = dataclasses.replace(automaton, render_item=render_item)
+    for render in (render_trace_text, trace_records):
+        calls.clear()
+        assert render(counted, trace) == render(automaton, trace)
+        assert 0 < len(calls) <= len(distinct)
 
 
 def test_pruning_safety_verdicts_agree():

@@ -4,8 +4,9 @@ A refactor of a recognizer or of the engine must leave every verdict and
 every run statistic unchanged, not only the orderings the acceptance gate
 checks.  Each recognizer runs exhaustively over a seeded corpus slice; the
 per-recognizer totals show which figure moved, and the digest covers every
-run's record.  The accepting traces of phi, ehi, hi and ghi are pinned as
-rendered text, which also fixes the order in which ghi displays a set.
+run's record.  Every recognizer's accepting traces are pinned as rendered
+text and as trace records, on short inputs and on one input whose stacks
+grow about 20 deep; this also fixes the order in which ghi displays a set.
 """
 
 import hashlib
@@ -13,11 +14,12 @@ import hashlib
 import pytest
 
 from headparse import (accepting_trace, augment, build_ghi, embed,
-                       enumerate_language, parse_ghg, render_trace_text, run)
+                       enumerate_language, parse_ghg, render_trace_text, run,
+                       trace_records)
 from headparse.corpus import (all_inputs, common_infix_family, eligible,
                               gen_eligible, gen_grammar_corpus,
                               head_grammar_corpus)
-from conftest import DEMO_GHG, FLAT_BUILDERS
+from conftest import DEMO_GHG, FLAT_BUILDERS, hg
 
 GRAMMARS = head_grammar_corpus(40, seed=1300)
 TREE_GRAMMARS = gen_grammar_corpus(40, seed=1301)
@@ -36,16 +38,31 @@ PINNED_RUNS = {
 PINNED_GHI_RUNS = (465, 49, 416, 0, 9878, 11310, 1029, 1897, 567,
                    "76397a26214060bc")
 
+# digests of the accepting traces rendered as text and as records: each
+# recognizer on common_infix_family (ghi on its embedding), and ghi on the
+# demo tree grammar's language up to length 4
 PINNED_TRACES = {
-    "phi": "889338d9a0c424bf",
-    "ehi": "7c5465f37b48ff8c",
+    "td": ("7d94793c9e7e4fe8", "b11f016c951c3292"),
+    "hc": ("326814409d7f689b", "3412118dba1dcaab"),
+    "phi": ("889338d9a0c424bf", "17de2d0a2614c918"),
+    "ehi": ("7c5465f37b48ff8c", "6bbf76752334c04a"),
+    "hi": ("ba1bf18eea29fe52", "560552bab3aa83f0"),
+    "ghi-embed": ("58032082127d34a2", "3200e5ac24fae833"),
+    "ghi-demo": ("6deb1d1d2ff9deaa", "57006b03f8bb9ed0"),
 }
 
-# hi on the same family, ghi on its embedding and on the demo tree grammar
-PINNED_HEAD_INWARD_TRACES = {
-    "hi": "ba1bf18eea29fe52",
-    "ghi-embed": "58032082127d34a2",
-    "ghi-demo": "6deb1d1d2ff9deaa",
+# the same digests for a^20 c b^20 on S -> *a S b | *c (ghi on its
+# embedding), and for hi on S -> a *S b | *c
+DEEP_CENTER = hg("S", ("S", "*a S b"), ("S", "*c"))
+DEEP_CENTER_HI = hg("S", ("S", "a *S b"), ("S", "*c"))
+DEEP_INPUT = ("a",) * 20 + ("c",) + ("b",) * 20
+PINNED_DEEP_TRACES = {
+    "td": ("99aa040b4aeab017", "0b5f4a0e2ddc16aa"),
+    "hc": ("f80bf87451f67093", "cb75de6f5b5fc73f"),
+    "phi": ("0ea24e1694cd031e", "3c2f30b3cc4560f3"),
+    "ehi": ("ce4f3d13761c41e6", "59b785bf03564b0a"),
+    "hi": ("12c365496e9c6ddb", "da8c1c25667b4fe1"),
+    "ghi": ("f37f236cd948fd16", "b92e0316394db405"),
 }
 
 # one trace in full, where ehi merges the left-hand sides S and T
@@ -103,7 +120,8 @@ def _flat_automata(name):
             yield index, FLAT_BUILDERS[name](aug)
 
 
-def _trace_texts(name):
+def _traces(name):
+    """(automaton, accepting trace) pairs of one PINNED_TRACES case."""
     if name == "ghi-demo":
         demo = parse_ghg(DEMO_GHG)
         cases = [(build_ghi(demo), sorted(enumerate_language(demo, 4)))]
@@ -111,12 +129,24 @@ def _trace_texts(name):
         build = (lambda g: build_ghi(embed(g))) if name == "ghi-embed" \
             else (lambda g: FLAT_BUILDERS[name](augment(g)))
         cases = [(build(g), inputs) for g, inputs in common_infix_family()]
-    texts = []
-    for automaton, inputs in cases:
-        for tokens in inputs:
-            result = run(automaton, tokens)
-            texts.append(render_trace_text(automaton, accepting_trace(result)))
-    return texts
+    return [(automaton, accepting_trace(run(automaton, tokens)))
+            for automaton, inputs in cases for tokens in inputs]
+
+
+def _deep_traces(name):
+    if name == "ghi":
+        automaton = build_ghi(embed(DEEP_CENTER))
+    else:
+        grammar = DEEP_CENTER_HI if name == "hi" else DEEP_CENTER
+        automaton = FLAT_BUILDERS[name](augment(grammar))
+    return [(automaton, accepting_trace(run(automaton, DEEP_INPUT)))]
+
+
+def _rendered(traces):
+    """Rendered texts and the digests of the texts and of the records."""
+    texts = [render_trace_text(automaton, trace) for automaton, trace in traces]
+    records = [trace_records(automaton, trace) for automaton, trace in traces]
+    return texts, (_digest(texts), _digest(records))
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_RUNS))
@@ -130,14 +160,24 @@ def test_ghi_run_statistics_pinned():
     assert _run_summary(automata) == PINNED_GHI_RUNS
 
 
-@pytest.mark.parametrize("name", sorted(PINNED_TRACES))
+@pytest.mark.parametrize("name", ["phi", "ehi"])
 def test_infix_traces_pinned(name):
-    texts = _trace_texts(name)
+    texts, digests = _rendered(_traces(name))
     assert tuple(line.rstrip() for line in texts[4].splitlines()) \
         == PINNED_TEXT[name]
-    assert _digest(texts) == PINNED_TRACES[name]
+    assert digests == PINNED_TRACES[name]
 
 
-@pytest.mark.parametrize("name", sorted(PINNED_HEAD_INWARD_TRACES))
+@pytest.mark.parametrize("name", ["hi", "ghi-embed", "ghi-demo"])
 def test_head_inward_traces_pinned(name):
-    assert _digest(_trace_texts(name)) == PINNED_HEAD_INWARD_TRACES[name]
+    assert _rendered(_traces(name))[1] == PINNED_TRACES[name]
+
+
+@pytest.mark.parametrize("name", ["td", "hc"])
+def test_top_down_traces_pinned(name):
+    assert _rendered(_traces(name))[1] == PINNED_TRACES[name]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DEEP_TRACES))
+def test_deep_traces_pinned(name):
+    assert _rendered(_deep_traces(name))[1] == PINNED_DEEP_TRACES[name]

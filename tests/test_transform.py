@@ -1,8 +1,12 @@
-from headparse import (GenHeadGrammar, GenHeadRule, HeadRule, Tree, embed,
-                       tau_head, tau_two, tree_to_text, tree_yield)
+import pytest
+
+from headparse import (GenHeadGrammar, GenHeadRule, HeadRule, Tree,
+                       bracket_symbol, embed, parse_ghg, tau_head, tau_two,
+                       tree_to_text, tree_yield)
 from headparse.corpus import gen_grammar_corpus, head_grammar_corpus
 from headparse.oracle import enumerate_language
-from conftest import hg
+from headparse.transform import subtrees
+from conftest import DEEP_GHG, hg
 
 
 def rule_set(g):
@@ -63,6 +67,26 @@ def test_tau_head_well_formed_and_size_linear():
         for r in flat.rules:
             assert len(r.rhs) >= 1
             assert 0 <= r.head < len(r.rhs)
+
+
+def _tau_head_rules_by_bracket_symbol(g):
+    """tau_head's rules with every bracket nonterminal named from scratch."""
+    def flatten(lhs, t):
+        left = () if t.left is None else (bracket_symbol(t.left),)
+        right = () if t.right is None else (bracket_symbol(t.right),)
+        return HeadRule(lhs, left + (t.root,) + right, len(left))
+    proper = dict.fromkeys(node for r in g.rules for side in (r.rhs.left, r.rhs.right)
+                           if side is not None for node in subtrees(side))
+    return (tuple(flatten(r.lhs, r.rhs) for r in g.rules)
+            + tuple(flatten(bracket_symbol(t), t) for t in proper))
+
+
+@pytest.mark.parametrize("corpus", ["tree-corpus", "deep"])
+def test_tau_head_names_match_bracket_symbol(corpus):
+    grammars = [parse_ghg(DEEP_GHG)] if corpus == "deep" \
+        else gen_grammar_corpus(40, seed=1301)
+    for g in grammars:
+        assert tau_head(g).rules == _tau_head_rules_by_bracket_symbol(g)
 
 
 def test_tau_head_deterministic(tree_demo_grammar):
