@@ -14,9 +14,9 @@ differential verification.
 from .engine import (Automaton, Clause, EngineError, RunResult, RunStats,
                      Trace, Verdict, accepting_trace, render_trace_text,
                      replay, run, trace_records)
-from .grammar import (FULL, LEFT, RIGHT, AugmentedGrammar, GrammarError,
-                      GrammarFormatError, HeadCornerRelation, HeadGrammar,
-                      HeadRule, augment, detect_cyclic, detect_head_recursion,
+from .grammar import (FULL, LEFT, RIGHT, AugmentedGrammar, Grammar,
+                      GrammarError, GrammarFormatError, HeadGrammar, HeadRule,
+                      augment, detect_cyclic, detect_head_recursion,
                       file_safe_grammar, format_hg, head_corner, parse_hg,
                       validate)
 from .oracle import (EnumerationLimitError, SubsequenceVerdict,
@@ -36,7 +36,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Automaton", "AugmentedGrammar", "Clause", "EngineError",
     "EnumerationLimitError", "FULL", "GenHeadGrammar", "GenHeadRule",
-    "GrammarError", "GrammarFormatError", "HeadCornerRelation", "HeadGrammar",
+    "Grammar", "GrammarError", "GrammarFormatError", "HeadGrammar",
     "HeadRule", "LEFT", "RIGHT", "Relations", "RunResult", "RunStats",
     "SubsequenceVerdict", "Trace", "Tree", "Verdict", "accepting_trace",
     "augment", "bracket_symbol", "build_ehi", "build_ghi", "build_hc",

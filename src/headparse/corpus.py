@@ -14,7 +14,7 @@ import itertools
 import random
 
 from .grammar import (AugmentedGrammar, HeadGrammar, HeadRule, augment,
-                      detect_cyclic, detect_head_recursion)
+                      detect_cyclic, detect_head_recursion, parse_hg)
 from .transform import GenHeadGrammar, GenHeadRule, Tree, tau_head
 
 NONTERMINAL_NAMES = ("S", "A", "B", "C")
@@ -85,17 +85,7 @@ def gen_eligible(g: GenHeadGrammar) -> bool:
 
 def _hg(start, *rule_specs):
     """Rules written as ('S', 'c *A b'); '*' marks the head."""
-    rules = []
-    for lhs, rhs_text in rule_specs:
-        members = []
-        head = None
-        for word in rhs_text.split():
-            if word.startswith("*"):
-                head = len(members)
-                word = word[1:]
-            members.append(word)
-        rules.append(HeadRule(lhs, tuple(members), head))
-    return HeadGrammar(rules, start)
+    return parse_hg("\n".join(["start " + start] + ["%s -> %s" % r for r in rule_specs]))
 
 
 def common_infix_family() -> list:

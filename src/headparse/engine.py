@@ -248,12 +248,11 @@ def accepting_trace(result: RunResult) -> Trace:
     return result.accepting_trace
 
 
-def replay(automaton: Automaton, tokens, trace: Trace, *, check_accept=True) -> bool:
+def replay(automaton: Automaton, tokens, trace: Trace) -> bool:
     """Re-derive every trace step from the initial stack.
 
     True when each recorded (label, stack) pair is producible by one clause
-    application from its predecessor and, if requested, the final stack is
-    accepting.
+    application from its predecessor and the final stack is accepting.
     """
     tokens = tuple(tokens)
     ctx = RunContext(tokens, len(tokens))
@@ -268,9 +267,7 @@ def replay(automaton: Automaton, tokens, trace: Trace, *, check_accept=True) -> 
                 for matched, replacement, _ in matcher(cur, ctx)):
             return False
         cur = step.stack
-    if check_accept:
-        return automaton.accepting_predicate(ctx.n)(cur)
-    return True
+    return automaton.accepting_predicate(ctx.n)(cur)
 
 
 def trace_rows(automaton: Automaton, trace: Trace):

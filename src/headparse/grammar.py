@@ -1,5 +1,7 @@
 """Head grammars: context-free rules in which exactly one right-hand-side
-member is distinguished as the head.
+member is distinguished as the head.  `Grammar` is the model shared with
+the generalized head grammars of `transform`, whose right-hand sides are
+trees; each formalism supplies only `plain_rhs`, a rule's plain reading.
 
 Symbols are plain strings.  Whether a symbol is a nonterminal is derived,
 never declared: a symbol is a nonterminal exactly when it occurs as the
@@ -9,16 +11,18 @@ fact that every symbol derives at least one terminal position.
 
 Besides the grammar model itself this module provides:
 
+  * `validate`, for both formalisms.
   * `augment`: adds a fresh start symbol rewriting to a fresh bottom
-    marker followed by the old start symbol.  The bottom marker acts as an
-    imaginary zeroth input symbol occupying the span (-1, 0]; recognizers
-    begin with it already recognized.
+    marker followed by the old start symbol (`fresh_markers`).  The bottom
+    marker acts as an imaginary zeroth input symbol occupying the span
+    (-1, 0]; recognizers begin with it already recognized.
   * the head-corner relation family (`head_corner`): the reflexive and
     transitive closure of "is the head of a rule for", optionally
     restricted to rules whose head is leftmost or rightmost.
   * loop detectors (`detect_head_recursion`, `detect_cyclic`) that tell
     which recognizers are guaranteed to terminate on a given grammar.
-  * the `.hg` text format (`parse_hg` / `format_hg`).
+  * the `.hg` text format (`parse_hg` / `format_hg`), whose front the
+    `.ghg` format shares.
 """
 
 from __future__ import annotations
@@ -65,54 +69,81 @@ class HeadRule(NamedTuple):
         return "%s -> %s" % (self.lhs, " ".join(parts))
 
 
-class HeadGrammar:
-    """An immutable list of head rules plus a start symbol.
+def _group(keys) -> dict:
+    """key -> tuple of the indexes where it occurs, in first-occurrence order."""
+    out = {}
+    for idx, key in enumerate(keys):
+        out.setdefault(key, []).append(idx)
+    return {key: tuple(ids) for key, ids in out.items()}
 
-    Derived indexes (nonterminals, terminals, rules by left-hand side) are
-    computed once at construction; instances are safe to share between
-    concurrent recognizer runs.
+
+class Grammar:
+    """An immutable list of rules plus a start symbol.
+
+    Each formalism supplies `plain_rhs(rhs)`, the members of a rule's
+    context-free reading in order.  The derived indexes (nonterminals,
+    symbols, terminals, rules by left-hand side) are computed from it once
+    at construction; instances are safe to share between concurrent
+    recognizer runs.
     """
 
-    def __init__(self, rules: Iterable[HeadRule], start: str):
+    def __init__(self, rules: Iterable, start: str):
         self.rules = tuple(rules)
         self.start = start
         self.nonterminals = frozenset(r.lhs for r in self.rules)
         syms = {start}
         for r in self.rules:
             syms.add(r.lhs)
-            syms.update(r.rhs)
+            syms.update(self.plain_rhs(r.rhs))
         self.symbols = frozenset(syms)
         self.terminals = self.symbols - self.nonterminals
-        by_lhs = {}
-        for idx, r in enumerate(self.rules):
-            by_lhs.setdefault(r.lhs, []).append(idx)
-        self.rules_by_lhs = {a: tuple(ids) for a, ids in by_lhs.items()}
+        self.rules_by_lhs = _group(r.lhs for r in self.rules)
+
+    @staticmethod
+    def plain_rhs(rhs) -> tuple:
+        raise NotImplementedError
+
+    def _formalism(self):
+        """The class right below `Grammar`: an augmented grammar is a head grammar."""
+        mro = type(self).__mro__
+        return mro[mro.index(Grammar) - 1]
 
     def __eq__(self, other):
-        if not isinstance(other, HeadGrammar):
+        if not isinstance(other, Grammar):
             return NotImplemented
-        return self.rules == other.rules and self.start == other.start
+        return (self._formalism() is other._formalism()
+                and self.rules == other.rules and self.start == other.start)
 
     def __hash__(self):
         return hash((self.rules, self.start))
 
     def __repr__(self):
-        return "HeadGrammar(start=%r, %d rules)" % (self.start, len(self.rules))
+        return "%s(start=%r, %d rules)" % (
+            self._formalism().__name__, self.start, len(self.rules))
 
 
-def validate(g: HeadGrammar) -> list:
+class HeadGrammar(Grammar):
+    """Head rules: a right-hand side is the member tuple itself."""
+
+    @staticmethod
+    def plain_rhs(rhs) -> tuple:
+        return rhs
+
+
+def validate(g: Grammar) -> list:
     """Check the grammar invariants; one diagnostic string per violation.
 
     An empty list means the grammar is well formed.  Diagnostics name the
-    offending rule, so they can be surfaced directly to users.
+    offending rule, so they can be surfaced directly to users.  A tree
+    rule's head is its root, so only head rules carry a head index to check.
     """
     out = []
     for idx, rule in enumerate(g.rules):
         where = "rule %d (%s)" % (idx, rule.lhs)
-        if len(rule.rhs) == 0:
+        members = g.plain_rhs(rule.rhs)
+        if not members:
             out.append("%s: empty right-hand side" % where)
-            continue
-        if not 0 <= rule.head < len(rule.rhs):
+        elif isinstance(rule, HeadRule) and not 0 <= rule.head < len(members):
             out.append("%s: head index %d out of range" % (where, rule.head))
     if g.start not in g.nonterminals:
         out.append("start symbol %s has no rules" % g.start)
@@ -124,6 +155,12 @@ def _fresh(base, taken):
     while name in taken:
         name += "'"
     return name
+
+
+def fresh_markers(symbols: frozenset) -> tuple:
+    """Fresh names (start symbol S', bottom marker) next to `symbols`."""
+    start_prime = _fresh(START_PRIME_BASE, symbols)
+    return start_prime, _fresh(BOTTOM_BASE, symbols | {start_prime})
 
 
 class AugmentedGrammar(HeadGrammar):
@@ -141,49 +178,18 @@ class AugmentedGrammar(HeadGrammar):
         self.start_prime = start_prime
         self.bottom = bottom
         self.start_rule_id = len(self.rules) - 1
-        term_heads = {}
-        nt_heads = {}
-        all_heads = {}
-        for idx, r in enumerate(self.rules):
-            h = r.rhs[r.head]
-            target = nt_heads if h in self.nonterminals else term_heads
-            target.setdefault(h, []).append(idx)
-            all_heads.setdefault(h, []).append(idx)
-        self.rules_with_terminal_head = {a: tuple(v) for a, v in term_heads.items()}
-        self.rules_with_nonterminal_head = {b: tuple(v) for b, v in nt_heads.items()}
-        self.rules_with_head = {x: tuple(v) for x, v in all_heads.items()}
+        heads = self.rules_with_head = _group(r.head_symbol for r in self.rules)
+        self.rules_with_terminal_head = {
+            a: ids for a, ids in heads.items() if a not in self.nonterminals}
+        self.rules_with_nonterminal_head = {
+            b: ids for b, ids in heads.items() if b in self.nonterminals}
 
 
 def augment(g: HeadGrammar) -> AugmentedGrammar:
     problems = validate(g)
     if problems:
         raise GrammarError("cannot augment an invalid grammar: " + "; ".join(problems))
-    sp = _fresh(START_PRIME_BASE, g.symbols)
-    bot = _fresh(BOTTOM_BASE, g.symbols | {sp})
-    return AugmentedGrammar(g, sp, bot)
-
-
-class HeadCornerRelation:
-    """Reflexive-transitive closure of "is the head of a rule for".
-
-    ``(b, a)`` in the relation means a chain of rules leads from ``a`` down
-    to ``b`` through head members only.  The ``left`` variant only follows
-    rules whose head is the leftmost member, ``right`` only rules whose
-    head is rightmost.  Pairs range over nonterminals.
-    """
-
-    def __init__(self, variant, pairs):
-        self.variant = variant
-        self.pairs = frozenset(pairs)
-
-    def __contains__(self, pair):
-        return pair in self.pairs
-
-    def __len__(self):
-        return len(self.pairs)
-
-    def __repr__(self):
-        return "HeadCornerRelation(%s, %d pairs)" % (self.variant, len(self.pairs))
+    return AugmentedGrammar(g, *fresh_markers(g.symbols))
 
 
 def _reachable_closure(edges, universe):
@@ -202,7 +208,14 @@ def _reachable_closure(edges, universe):
     return frozenset(pairs)
 
 
-def head_corner(g: AugmentedGrammar, variant: str = FULL) -> HeadCornerRelation:
+def head_corner(g: AugmentedGrammar, variant: str = FULL) -> frozenset:
+    """Reflexive-transitive closure of "is the head of a rule for".
+
+    ``(b, a)`` in the relation means a chain of rules leads from ``a`` down
+    to ``b`` through head members only.  The ``left`` variant only follows
+    rules whose head is the leftmost member, ``right`` only rules whose
+    head is rightmost.  Pairs range over nonterminals.
+    """
     if variant not in (FULL, LEFT, RIGHT):
         raise ValueError("unknown head-corner variant: %r" % variant)
     edges = {}
@@ -215,15 +228,20 @@ def head_corner(g: AugmentedGrammar, variant: str = FULL) -> HeadCornerRelation:
         if variant == RIGHT and r.head != len(r.rhs) - 1:
             continue
         edges.setdefault(h, set()).add(r.lhs)
-    return HeadCornerRelation(variant, _reachable_closure(edges, g.nonterminals))
+    return _reachable_closure(edges, g.nonterminals)
 
 
-def _find_cycle(edges, nodes) -> Optional[list]:
+def _find_cycle(arcs, nodes) -> Optional[list]:
     """Return one cycle of the digraph as a node list, or None.
 
+    The digraph has the (a, b) pairs of `arcs` whose b is one of `nodes`.
     Depth first from each node in sorted order, successors in sorted order;
     iterative, so long chains do not hit the recursion limit.
     """
+    edges = {}
+    for a, b in arcs:
+        if b in nodes:
+            edges.setdefault(a, set()).add(b)
     color = {}  # missing: white, 1: on path, 2: done
     for root in sorted(nodes):
         if root in color:
@@ -253,12 +271,7 @@ def detect_head_recursion(g: AugmentedGrammar) -> Optional[list]:
     The top-down recognizer can grow its stack forever exactly when such a
     cycle exists; the other recognizers do not care.
     """
-    edges = {}
-    for r in g.rules:
-        h = r.rhs[r.head]
-        if h in g.nonterminals:
-            edges.setdefault(r.lhs, set()).add(h)
-    return _find_cycle(edges, g.nonterminals)
+    return _find_cycle(((r.lhs, r.head_symbol) for r in g.rules), g.nonterminals)
 
 
 def detect_cyclic(g: AugmentedGrammar) -> Optional[list]:
@@ -267,21 +280,29 @@ def detect_cyclic(g: AugmentedGrammar) -> Optional[list]:
     Without empty right-hand sides a nonterminal can only rederive itself
     through single-member rules, so cycles over those are the whole story.
     """
-    edges = {}
-    for r in g.rules:
-        if len(r.rhs) == 1 and r.rhs[0] in g.nonterminals:
-            edges.setdefault(r.lhs, set()).add(r.rhs[0])
-    return _find_cycle(edges, g.nonterminals)
+    return _find_cycle(((r.lhs, r.rhs[0]) for r in g.rules if len(r.rhs) == 1),
+                       g.nonterminals)
 
 
 # --------------------------------------------------------------------------
-# The .hg file format.
+# The grammar file formats, .hg here and .ghg in `transform`, share one front:
 #
-#   * UTF-8 text; '#' starts a comment running to end of line.
+#   * UTF-8 text; '#' starts a comment running to end of line; blank lines
+#     are ignored.
 #   * first meaningful line:  start <Symbol>
-#   * one rule per line:      <Lhs> -> <m1> <m2> ... <mk>
-#     with exactly one member carrying the head prefix '*'.
-#   * tokens match [A-Za-z0-9_']+ ;  '*', '->' and '#' are reserved.
+#   * every other line is one rule, read by the format's own rule reader.
+#   * tokens match [A-Za-z0-9_']+ .
+#   * errors carry source:line:column of the offending character, columns
+#     counted from 1 at the start of the line.
+#
+# .hg rules:  <Lhs> -> <m1> <m2> ... <mk>
+#   with exactly one member carrying the head prefix '*'; '*', '->' and
+#   '#' are reserved.
+
+
+class _LineError(Exception):
+    """A format error at a column of the line being read (args: message,
+    column); the front adds the source and the line number."""
 
 
 def _split_words(line):
@@ -290,12 +311,17 @@ def _split_words(line):
             for match in re.finditer(r"\S+", line)]
 
 
-def _check_token(word, line_no, col, source):
+def _token(col, word) -> str:
+    """`word`, checked to be a token; `col` is where it starts."""
     if not TOKEN_RE.fullmatch(word):
-        raise GrammarFormatError("bad token %r" % word, line_no, col, source)
+        raise _LineError("bad token %r" % word, col)
+    return word
 
 
-def parse_hg(text: str, source: str = "<string>") -> HeadGrammar:
+def _read_grammar(text: str, source: str, make, read_rule) -> Grammar:
+    """The grammar `make(rules, start)` written in `text`, each rule line
+    read by `read_rule(line, words)` (words as `_split_words` gives them);
+    a grammar that fails `validate` raises GrammarError."""
     start = None
     rules = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -303,43 +329,57 @@ def parse_hg(text: str, source: str = "<string>") -> HeadGrammar:
         words = _split_words(line)
         if not words:
             continue
-        if start is None:
-            if len(words) != 2 or words[0][1] != "start":
-                raise GrammarFormatError(
-                    "expected 'start <Symbol>' header", line_no, words[0][0], source)
-            _check_token(words[1][1], line_no, words[1][0], source)
-            start = words[1][1]
-            continue
-        if len(words) < 2 or words[1][1] != "->":
-            raise GrammarFormatError(
-                "expected '<Lhs> -> <members>'", line_no, words[0][0], source)
-        lhs_col, lhs = words[0]
-        _check_token(lhs, line_no, lhs_col, source)
-        members = []
-        head = None
-        for col, word in words[2:]:
-            starred = word.startswith("*")
-            body = word[1:] if starred else word
-            _check_token(body, line_no, col, source)
-            if starred:
-                if head is not None:
-                    raise GrammarFormatError("multiple heads in rule", line_no, col, source)
-                head = len(members)
-            members.append(body)
-        if not members:
-            raise GrammarFormatError("empty right-hand side", line_no, lhs_col, source)
-        if head is None:
-            raise GrammarFormatError(
-                "missing head: exactly one member must be marked with '*'",
-                line_no, lhs_col, source)
-        rules.append(HeadRule(lhs, tuple(members), head))
+        try:
+            if start is not None:
+                rules.append(read_rule(line, words))
+            elif len(words) != 2 or words[0][1] != "start":
+                raise _LineError("expected 'start <Symbol>' header", words[0][0])
+            else:
+                start = _token(*words[1])
+        except _LineError as err:
+            message, column = err.args
+            raise GrammarFormatError(message, line_no, column, source) from None
     if start is None:
         raise GrammarFormatError("missing 'start <Symbol>' header", 1, 1, source)
-    g = HeadGrammar(rules, start)
+    g = make(rules, start)
     problems = validate(g)
     if problems:
         raise GrammarError("%s: %s" % (source, "; ".join(problems)))
     return g
+
+
+def _write_grammar(g: Grammar, comments: Iterable, rule_text) -> str:
+    lines = ["# %s" % c for c in comments]
+    lines.append("start %s" % g.start)
+    lines.extend(map(rule_text, g.rules))
+    return "\n".join(lines) + "\n"
+
+
+def _hg_rule(line, words) -> HeadRule:
+    if len(words) < 2 or words[1][1] != "->":
+        raise _LineError("expected '<Lhs> -> <members>'", words[0][0])
+    lhs_col, lhs = words[0]
+    _token(lhs_col, lhs)
+    members = []
+    head = None
+    for col, word in words[2:]:
+        starred = word.startswith("*")
+        body = _token(col, word[1:] if starred else word)
+        if starred:
+            if head is not None:
+                raise _LineError("multiple heads in rule", col)
+            head = len(members)
+        members.append(body)
+    if not members:
+        raise _LineError("empty right-hand side", lhs_col)
+    if head is None:
+        raise _LineError(
+            "missing head: exactly one member must be marked with '*'", lhs_col)
+    return HeadRule(lhs, tuple(members), head)
+
+
+def parse_hg(text: str, source: str = "<string>") -> HeadGrammar:
+    return _read_grammar(text, source, HeadGrammar, _hg_rule)
 
 
 def format_hg(g: HeadGrammar, comments: Iterable = ()) -> str:
@@ -351,10 +391,7 @@ def format_hg(g: HeadGrammar, comments: Iterable = ()) -> str:
     bad = sorted(s for s in g.symbols if not TOKEN_RE.fullmatch(s))
     if bad:
         raise GrammarError("symbols not expressible as .hg tokens: %s" % ", ".join(bad))
-    lines = ["# %s" % c for c in comments]
-    lines.append("start %s" % g.start)
-    lines.extend(str(r) for r in g.rules)
-    return "\n".join(lines) + "\n"
+    return _write_grammar(g, comments, str)
 
 
 def file_safe_grammar(g: HeadGrammar):

@@ -23,7 +23,7 @@ from enum import Enum
 from typing import Iterable
 
 from .grammar import HeadGrammar
-from .transform import GenHeadGrammar, tau_head, tree_yield
+from .transform import GenHeadGrammar, tau_head
 
 
 class EnumerationLimitError(RuntimeError):
@@ -32,9 +32,7 @@ class EnumerationLimitError(RuntimeError):
 
 def _plain_rules(g):
     """(lhs, members) pairs of the context-free reading of the grammar."""
-    if isinstance(g, GenHeadGrammar):
-        return [(r.lhs, tree_yield(r.rhs)) for r in g.rules]
-    return [(r.lhs, tuple(r.rhs)) for r in g.rules]
+    return [(r.lhs, g.plain_rhs(r.rhs)) for r in g.rules]
 
 
 def recognize(g, tokens) -> bool:
@@ -108,10 +106,8 @@ def enumerate_report(g, max_len: int, frontier_cap: int = 200_000):
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
-    rules = _plain_rules(g)
-    nonterminals = {lhs for lhs, _ in rules}
-    expansions = {}
-    for lhs, members in rules:
+    expansions = {}  # nonterminal -> its plain right-hand sides
+    for lhs, members in _plain_rules(g):
         expansions.setdefault(lhs, []).append(members)
     start_form = (g.start,)
     seen = {start_form}
@@ -123,7 +119,7 @@ def enumerate_report(g, max_len: int, frontier_cap: int = 200_000):
         form = queue[idx]
         idx += 1
         for pos, sym in enumerate(form):
-            if sym in nonterminals:
+            if sym in expansions:
                 break
         else:
             out.add(form)
@@ -151,11 +147,7 @@ def enumerate_language(g, max_len: int, frontier_cap: int = 200_000) -> frozense
 def useless_symbols(g) -> frozenset:
     """Symbols that are unproductive or unreachable in the plain reading."""
     rules = _plain_rules(g)
-    nonterminals = {lhs for lhs, _ in rules}
-    symbols = {g.start} | nonterminals
-    for _, members in rules:
-        symbols.update(members)
-    productive = set(symbols - nonterminals)
+    productive = set(g.terminals)
     changed = True
     while changed:
         changed = False
@@ -173,7 +165,7 @@ def useless_symbols(g) -> frozenset:
                     if m not in reachable:
                         reachable.add(m)
                         changed = True
-    return frozenset(s for s in symbols if s not in productive or s not in reachable)
+    return frozenset(s for s in g.symbols if s not in productive or s not in reachable)
 
 
 def is_subsequence(needle, hay) -> bool:

@@ -25,7 +25,7 @@ from functools import cache, partial
 from typing import NamedTuple, Optional, Union
 
 from .engine import Automaton, Clause
-from .grammar import BOTTOM_BASE, START_PRIME_BASE, _fresh
+from .grammar import fresh_markers
 from .transform import (GenHeadGrammar, GenHeadRule, Tree, bracket_symbol,
                         tree_to_text)
 
@@ -158,8 +158,7 @@ def yld(item) -> tuple:
 
 
 def build_ghi(g: GenHeadGrammar) -> Automaton:
-    start_prime = _fresh(START_PRIME_BASE, g.symbols)
-    bottom = _fresh(BOTTOM_BASE, g.symbols | {start_prime})
+    start_prime, bottom = fresh_markers(g.symbols)
     start_rule = GenHeadRule(start_prime, Tree(bottom, None, Tree(g.start)))
 
     rule_order = {r: idx for idx, r in enumerate(g.rules)}

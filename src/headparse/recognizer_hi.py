@@ -23,8 +23,7 @@ from functools import cache, partial
 from typing import NamedTuple
 
 from .engine import Automaton, Clause
-from .grammar import (FULL, LEFT, RIGHT, AugmentedGrammar, HeadCornerRelation,
-                      head_corner)
+from .grammar import FULL, LEFT, RIGHT, AugmentedGrammar, head_corner
 
 
 class HiItem(NamedTuple):
@@ -36,9 +35,9 @@ class HiItem(NamedTuple):
 
 
 class Relations(NamedTuple):
-    full: HeadCornerRelation
-    left: HeadCornerRelation
-    right: HeadCornerRelation
+    full: frozenset  # head_corner pairs (b, a) of each variant
+    left: frozenset
+    right: frozenset
 
 
 def compute_relations(aug: AugmentedGrammar) -> Relations:
@@ -74,7 +73,7 @@ def _make_goto1(rightward):
         out = set()
         for rid in aug.rules_with_head.get(x, ()):
             r = aug.rules[rid]
-            if any((r.lhs, b) in rels.full.pairs for b in pend):
+            if any((r.lhs, b) in rels.full for b in pend):
                 out.add((rid, r.head, r.head + 1))
         return frozenset(out)
     return goto1
@@ -92,7 +91,7 @@ def _make_goto2(rightward):
             for rid in aug.rules_with_head.get(x, ()):
                 r = aug.rules[rid]
                 edge = 0 if rightward else len(r.rhs) - 1
-                if r.head == edge and any((r.lhs, b) in gate.pairs for b in pend):
+                if r.head == edge and any((r.lhs, b) in gate for b in pend):
                     out.add((rid, r.head, r.head + 1))
         for rid, ld, rd in q:
             rhs = aug.rules[rid].rhs

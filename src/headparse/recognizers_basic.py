@@ -34,7 +34,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .engine import Automaton, Clause
-from .grammar import FULL, AugmentedGrammar, HeadCornerRelation, head_corner
+from .grammar import FULL, AugmentedGrammar, head_corner
 
 
 class Goal(NamedTuple):
@@ -252,11 +252,9 @@ def build_td(aug: AugmentedGrammar) -> Automaton:
 
 # ------------------------------------------------------------------ HC
 
-def build_hc(aug: AugmentedGrammar, hc: HeadCornerRelation = None) -> Automaton:
+def build_hc(aug: AugmentedGrammar, hc: frozenset = None) -> Automaton:
     """Head-corner recognizer: prediction gated by the head-corner relation."""
-    if hc is None:
-        hc = head_corner(aug, FULL)
-    pairs = hc.pairs
+    pairs = head_corner(aug, FULL) if hc is None else hc
     nts = aug.nonterminals
     t_heads = aug.rules_with_terminal_head
     nt_heads = aug.rules_with_nonterminal_head
@@ -390,9 +388,7 @@ def _build_infix(aug, hc, name, merge_lhs):
     """Infix recognizer over `SetInfix` items.  Each step computes the
     left-hand sides that survive it; EHI keeps them as one item, PHI splits
     them into one single-member item each, in the same order."""
-    if hc is None:
-        hc = head_corner(aug, FULL)
-    pairs = hc.pairs
+    pairs = head_corner(aug, FULL) if hc is None else hc
     nts = aug.nonterminals
     index = InfixIndex(aug)
     term_lhs = _distinct_lhs(aug.rules_with_terminal_head, aug)
@@ -544,13 +540,13 @@ def _build_infix(aug, hc, name, merge_lhs):
                      (len(aug.rules), len(nts)))
 
 
-def build_phi(aug: AugmentedGrammar, hc: HeadCornerRelation = None) -> Automaton:
+def build_phi(aug: AugmentedGrammar, hc: frozenset = None) -> Automaton:
     """Predictive head-inward recognizer: items carry the recognized infix
     only, so rules of one nonterminal sharing an infix are merged."""
     return _build_infix(aug, hc, "phi", merge_lhs=False)
 
 
-def build_ehi(aug: AugmentedGrammar, hc: HeadCornerRelation = None) -> Automaton:
+def build_ehi(aug: AugmentedGrammar, hc: frozenset = None) -> Automaton:
     """Extended head-inward recognizer: like PHI, with a set of left-hand
     sides per item so common infixes merge across nonterminals."""
     return _build_infix(aug, hc, "ehi", merge_lhs=True)

@@ -6,7 +6,9 @@ carries the material to the left of the root, the right subtree the
 material to the right, and each subtree again has its own root recognized
 first.  The plain-string yield of a rule is the in-order traversal of its
 tree, so head/tree structure never changes the generated language, only
-the order in which a recognizer visits the input.
+the order in which a recognizer visits the input.  That yield is the
+`plain_rhs` of `GenHeadGrammar`, the tree formalism of `grammar.Grammar`;
+the `.ghg` file format shares its front with `.hg`.
 
 `tau_head` flattens a generalized grammar into a plain head grammar by
 introducing one bracket nonterminal per distinct proper subtree: ``[t]``
@@ -26,8 +28,9 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Optional
 
-from .grammar import (GrammarError, GrammarFormatError, HeadGrammar, HeadRule,
-                      TOKEN_RE, _split_words)
+from .grammar import (Grammar, GrammarError, HeadGrammar, HeadRule, TOKEN_RE,
+                      _LineError, _read_grammar, _token, _write_grammar,
+                      validate)
 
 
 class Tree:
@@ -125,42 +128,10 @@ class GenHeadRule(NamedTuple):
         return "%s -> %s" % (self.lhs, tree_to_text(self.rhs))
 
 
-class GenHeadGrammar:
-    """Rule list with tree right-hand sides plus a start symbol; immutable."""
+class GenHeadGrammar(Grammar):
+    """Tree rules: the plain reading of a right-hand side is its yield."""
 
-    def __init__(self, rules: Iterable[GenHeadRule], start: str):
-        self.rules = tuple(rules)
-        self.start = start
-        self.nonterminals = frozenset(r.lhs for r in self.rules)
-        syms = {start}
-        for r in self.rules:
-            syms.add(r.lhs)
-            for node in subtrees(r.rhs):
-                syms.add(node.root)
-        self.symbols = frozenset(syms)
-        self.terminals = self.symbols - self.nonterminals
-        by_lhs = {}
-        for idx, r in enumerate(self.rules):
-            by_lhs.setdefault(r.lhs, []).append(idx)
-        self.rules_by_lhs = {a: tuple(ids) for a, ids in by_lhs.items()}
-
-    def __eq__(self, other):
-        if not isinstance(other, GenHeadGrammar):
-            return NotImplemented
-        return self.rules == other.rules and self.start == other.start
-
-    def __hash__(self):
-        return hash((self.rules, self.start))
-
-    def __repr__(self):
-        return "GenHeadGrammar(start=%r, %d rules)" % (self.start, len(self.rules))
-
-
-def validate_gen(g: GenHeadGrammar) -> list:
-    out = []
-    if g.start not in g.nonterminals:
-        out.append("start symbol %s has no rules" % g.start)
-    return out
+    plain_rhs = staticmethod(tree_yield)
 
 
 def _flatten_rule(lhs: str, t: Tree, names) -> HeadRule:
@@ -236,7 +207,7 @@ def tau_two(g: HeadGrammar) -> HeadGrammar:
     Suffix nonterminals are named ``[x y ...]`` and deduplicated by
     sequence equality.
     """
-    problems = [p for p in _empty_rhs_problems(g)]
+    problems = validate(g)
     if problems:
         raise GrammarError("; ".join(problems))
 
@@ -268,12 +239,6 @@ def tau_two(g: HeadGrammar) -> HeadGrammar:
     return HeadGrammar(rules, g.start)
 
 
-def _empty_rhs_problems(g):
-    for idx, r in enumerate(g.rules):
-        if len(r.rhs) == 0:
-            yield "rule %d (%s): empty right-hand side" % (idx, r.lhs)
-
-
 def embed(g: HeadGrammar) -> GenHeadGrammar:
     """Inject a plain head grammar into the generalized form.
 
@@ -303,19 +268,18 @@ def embed(g: HeadGrammar) -> GenHeadGrammar:
 
 
 # --------------------------------------------------------------------------
-# The .ghg file format.
+# The .ghg file format: the front of the .hg format (see `grammar`), with
 #
-#   * header line:  start <Symbol>
 #   * one rule per line:  <Lhs> -> <tree>
 #   * tree  := (<Symbol>) | (<Symbol> <child> <child>)
 #   * child := <tree> | ()           -- () is an empty subtree
 
 
-def _tokenize_tree(text, line_no, source):
+def _tokenize_tree(line, i):
+    """(column, token) pairs of `line` from index `i` on."""
     out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
+    while i < len(line):
+        ch = line[i]
         if ch.isspace():
             i += 1
             continue
@@ -323,19 +287,20 @@ def _tokenize_tree(text, line_no, source):
             out.append((i + 1, ch))
             i += 1
             continue
-        match = TOKEN_RE.match(text, i)
+        match = TOKEN_RE.match(line, i)
         if not match:
-            raise GrammarFormatError("bad character %r" % ch, line_no, i + 1, source)
+            raise _LineError("bad character %r" % ch, i + 1)
         out.append((match.start() + 1, match.group()))
         i = match.end()
     return out
 
 
-def _parse_tree(tokens, pos, line_no, source):
+def _parse_tree(tokens):
     def fail(msg, at):
         col = tokens[at][0] if at < len(tokens) else (tokens[-1][0] if tokens else 1)
-        raise GrammarFormatError(msg, line_no, col, source)
+        raise _LineError(msg, col)
 
+    pos = 0
     open_nodes = []  # (root, children found so far) of unfinished inner nodes
     while True:
         if pos >= len(tokens) or tokens[pos][1] != "(":
@@ -368,42 +333,22 @@ def _parse_tree(tokens, pos, line_no, source):
             return tree, pos
 
 
+def _ghg_rule(line, words) -> GenHeadRule:
+    arrow = line.find("->")
+    if arrow < 0:
+        raise _LineError("expected '<Lhs> -> <tree>'", words[0][0])
+    lhs = _token(words[0][0], line[:arrow].strip())
+    tokens = _tokenize_tree(line, arrow + 2)
+    tree, pos = _parse_tree(tokens)
+    if tree is None:
+        raise _LineError("rule tree may not be empty", tokens[0][0])
+    if pos != len(tokens):
+        raise _LineError("trailing input after tree", tokens[pos][0])
+    return GenHeadRule(lhs, tree)
+
+
 def parse_ghg(text: str, source: str = "<string>") -> GenHeadGrammar:
-    start = None
-    rules = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        if not line.strip():
-            continue
-        if start is None:
-            words = _split_words(line)
-            if len(words) != 2 or words[0][1] != "start":
-                raise GrammarFormatError(
-                    "expected 'start <Symbol>' header", line_no, words[0][0], source)
-            start = words[1][1]
-            if not TOKEN_RE.fullmatch(start):
-                raise GrammarFormatError("bad token %r" % start, line_no, words[1][0], source)
-            continue
-        arrow = line.find("->")
-        if arrow < 0:
-            raise GrammarFormatError("expected '<Lhs> -> <tree>'", line_no, 1, source)
-        lhs = line[:arrow].strip()
-        if not TOKEN_RE.fullmatch(lhs):
-            raise GrammarFormatError("bad token %r" % lhs, line_no, 1, source)
-        tokens = _tokenize_tree(line[arrow + 2:], line_no, source)
-        tree, pos = _parse_tree(tokens, 0, line_no, source)
-        if tree is None:
-            raise GrammarFormatError("rule tree may not be empty", line_no, 1, source)
-        if pos != len(tokens):
-            raise GrammarFormatError("trailing input after tree", line_no, tokens[pos][0], source)
-        rules.append(GenHeadRule(lhs, tree))
-    if start is None:
-        raise GrammarFormatError("missing 'start <Symbol>' header", 1, 1, source)
-    g = GenHeadGrammar(rules, start)
-    problems = validate_gen(g)
-    if problems:
-        raise GrammarError("%s: %s" % (source, "; ".join(problems)))
-    return g
+    return _read_grammar(text, source, GenHeadGrammar, _ghg_rule)
 
 
 def _src_parts(node):
@@ -419,7 +364,5 @@ def _tree_to_src(t: Optional[Tree]) -> str:
 
 
 def format_ghg(g: GenHeadGrammar, comments: Iterable = ()) -> str:
-    lines = ["# %s" % c for c in comments]
-    lines.append("start %s" % g.start)
-    lines.extend("%s -> %s" % (r.lhs, _tree_to_src(r.rhs)) for r in g.rules)
-    return "\n".join(lines) + "\n"
+    return _write_grammar(
+        g, comments, lambda r: "%s -> %s" % (r.lhs, _tree_to_src(r.rhs)))

@@ -116,3 +116,18 @@ def test_parse_ghg_reports_positions():
     with pytest.raises(GrammarFormatError) as err:
         parse_ghg("start S\nS -> (s (A) \n")
     assert err.value.line == 2
+
+
+@pytest.mark.parametrize("line, message, column", [
+    ("LongName -> (a!)", "bad character '!'", 15),
+    ("S -> (a) (b)", "trailing input after tree", 10),
+    ("   A{ -> (a)", "bad token 'A{'", 4),
+    ("  S (a)", "expected '<Lhs> -> <tree>'", 3),
+    ("S -> ()", "rule tree may not be empty", 6),
+])
+def test_parse_ghg_error_columns_count_from_line_start(line, message, column):
+    with pytest.raises(GrammarFormatError) as err:
+        parse_ghg("start S\n%s\n" % line, source="g.ghg")
+    assert (err.value.message, err.value.line, err.value.column) == (message, 2, column)
+    assert str(err.value) == "g.ghg:2:%d: %s" % (column, message)
+

@@ -1,8 +1,8 @@
 import pytest
 
-from headparse import (FULL, LEFT, RIGHT, GrammarError, HeadGrammar, HeadRule,
-                       augment, detect_cyclic, detect_head_recursion,
-                       head_corner, validate)
+from headparse import (FULL, LEFT, RIGHT, GenHeadGrammar, GrammarError,
+                       HeadGrammar, HeadRule, augment, detect_cyclic,
+                       detect_head_recursion, embed, head_corner, validate)
 from headparse.corpus import head_grammar_corpus
 from conftest import hg
 
@@ -59,8 +59,8 @@ def test_head_corner_full_vs_left():
     left = head_corner(aug, LEFT)
     nts = aug.nonterminals
     identity = {(x, x) for x in nts}
-    assert full.pairs == identity | {("A", "S")}
-    assert left.pairs == identity  # the head of the S rule is not leftmost
+    assert full == identity | {("A", "S")}
+    assert left == identity  # the head of the S rule is not leftmost
 
 
 def test_head_corner_left_when_head_leftmost():
@@ -98,7 +98,7 @@ def _closure_oracle(aug, variant):
 def test_head_corner_matches_fixpoint_oracle(variant):
     for g in head_grammar_corpus(30, seed=501):
         aug = augment(g)
-        assert head_corner(aug, variant).pairs == _closure_oracle(aug, variant)
+        assert head_corner(aug, variant) == _closure_oracle(aug, variant)
 
 
 def test_detect_head_recursion_self_head():
@@ -198,4 +198,30 @@ def test_augmented_tau_head_demo_rule_count(tree_demo_grammar):
     aug = augment(flat)
     assert len(aug.rules) == len(flat.rules) + 1
     full = head_corner(aug, FULL)
-    assert full.pairs == _closure_oracle(aug, FULL)
+    assert full == _closure_oracle(aug, FULL)
+
+
+def test_embed_keeps_the_symbol_indexes():
+    for g in head_grammar_corpus(40, seed=1300):
+        tree = embed(g)
+        assert tree.nonterminals == g.nonterminals
+        assert tree.terminals == g.terminals
+        assert tree.symbols == g.symbols
+        assert tree.rules_by_lhs.keys() == g.rules_by_lhs.keys()
+        assert [tree.plain_rhs(t.rhs) for t in tree.rules] == \
+            [g.plain_rhs(r.rhs) for r in g.rules]
+
+
+def test_head_and_tree_grammars_never_compare_equal():
+    assert HeadGrammar([], "S") != GenHeadGrammar([], "S")
+    assert GenHeadGrammar([], "S") != HeadGrammar([], "S")
+    aug = augment(hg("S", ("S", "*a")))
+    assert aug == HeadGrammar(aug.rules, aug.start)
+    assert hash(aug) == hash(HeadGrammar(aug.rules, aug.start))
+
+
+def test_repr_names_the_formalism(tree_demo_grammar):
+    g = hg("S", ("S", "c *A b"), ("A", "*a"))
+    assert repr(g) == "HeadGrammar(start='S', 2 rules)"
+    assert repr(augment(g)) == "HeadGrammar(start='S', 3 rules)"
+    assert repr(tree_demo_grammar) == "GenHeadGrammar(start='S', 5 rules)"

@@ -1,6 +1,6 @@
 import pytest
 
-from headparse import HeadCornerRelation, Verdict, augment, run, tau_head
+from headparse import Verdict, augment, run, tau_head
 from headparse.corpus import all_inputs, head_grammar_corpus
 from headparse.oracle import (EnumerationLimitError, SubsequenceVerdict,
                               check_subsequence_property, enumerate_language,
@@ -94,8 +94,7 @@ def test_subsequence_property_flags_broken_recognizer(tiny_grammar):
     # language string can justify; the checker must notice
     g = hg("S", ("S", "c *A b"), ("A", "*a"), ("D", "*d"))
     aug = augment(g)
-    everything = HeadCornerRelation(
-        "full", {(b, a) for b in aug.nonterminals for a in aug.nonterminals})
+    everything = frozenset((b, a) for b in aug.nonterminals for a in aug.nonterminals)
     broken = build_hc(aug, hc=everything)
     tokens = ("c", "a", "d")
     result = run(broken, tokens, collect_consulted=True)

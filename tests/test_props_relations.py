@@ -35,8 +35,7 @@ def test_reflexive(g):
 @settings(max_examples=60, deadline=None)
 @given(grammars(), st.sampled_from([FULL, LEFT, RIGHT]))
 def test_transitive(g, variant):
-    rel = head_corner(augment(g), variant)
-    pairs = rel.pairs
+    pairs = head_corner(augment(g), variant)
     for (b, a) in pairs:
         for (c, b2) in pairs:
             if b2 == b:
@@ -47,9 +46,9 @@ def test_transitive(g, variant):
 @given(grammars())
 def test_side_variants_are_subsets_of_full(g):
     aug = augment(g)
-    full = head_corner(aug, FULL).pairs
-    assert head_corner(aug, LEFT).pairs <= full
-    assert head_corner(aug, RIGHT).pairs <= full
+    full = head_corner(aug, FULL)
+    assert head_corner(aug, LEFT) <= full
+    assert head_corner(aug, RIGHT) <= full
 
 
 @settings(max_examples=60, deadline=None)
@@ -58,10 +57,10 @@ def test_idempotent_under_reclosure(g, variant):
     aug = augment(g)
     rel = head_corner(aug, variant)
     edges = {}
-    for (b, a) in rel.pairs:
+    for (b, a) in rel:
         edges.setdefault(b, set()).add(a)
     reclosed = _reachable_closure(edges, aug.nonterminals)
-    assert reclosed == rel.pairs
+    assert reclosed == rel
 
 
 @settings(max_examples=60, deadline=None)

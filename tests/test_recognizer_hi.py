@@ -118,7 +118,7 @@ def test_hi_close_to_ehi_when_corners_sparse():
     aug = augment(g)
     rels = compute_relations(aug)
     identity = {(x, x) for x in aug.nonterminals}
-    assert rels.left.pairs == identity and rels.right.pairs == identity
+    assert rels.left == identity and rels.right == identity
     from headparse.recognizers_basic import build_ehi
     hi = run(build_hi(aug), ("c", "b", "a", "b", "b"), exhaustive=True)
     ehi = run(build_ehi(aug), ("c", "b", "a", "b", "b"), exhaustive=True)

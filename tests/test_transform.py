@@ -1,8 +1,8 @@
 import pytest
 
-from headparse import (GenHeadGrammar, GenHeadRule, HeadRule, Tree,
-                       bracket_symbol, embed, parse_ghg, tau_head, tau_two,
-                       tree_to_text, tree_yield)
+from headparse import (GenHeadGrammar, GenHeadRule, GrammarError, HeadGrammar,
+                       HeadRule, Tree, bracket_symbol, embed, parse_ghg,
+                       tau_head, tau_two, tree_to_text, tree_yield)
 from headparse.corpus import gen_grammar_corpus, head_grammar_corpus
 from headparse.oracle import enumerate_language
 from headparse.transform import subtrees
@@ -106,6 +106,13 @@ def test_tau_two_schema_example():
         ("[b c]", ("b", "[c]"), 0),
         ("[c]", ("c",), 0),
     }
+
+
+def test_tau_two_rejects_what_validate_rejects():
+    with pytest.raises(GrammarError, match="rule 0 \\(S\\): empty right-hand side"):
+        tau_two(HeadGrammar([HeadRule("S", (), 0)], "S"))
+    with pytest.raises(GrammarError, match="start symbol S has no rules"):
+        tau_two(HeadGrammar([HeadRule("A", ("a",), 0)], "S"))
 
 
 def test_tau_two_short_rules_unchanged():
