@@ -13,6 +13,16 @@ infinite searches into either pruned duplicates or a distinct
 resource-limit verdict; they never affect accept/reject outcomes on
 searches that terminate.
 
+Every clause reads at most the top `Automaton.reach` items of a stack,
+its *window*, so the steps a stack allows are a function of its window
+and the input.  A run therefore keeps a table from window to steps: the
+matchers run once per distinct window, and every later stack with that
+window replays the recorded steps in the same order.  A window's steps
+are recorded as the search pulls them and stored only once all are
+pulled, so a search that accepts early never computes steps it does not
+take.  The table lives for one run; it is the transition relation of the
+automaton on that input, restricted to the windows the search reached.
+
 Items carry the -1-based input positions used throughout this toolkit
 directly (the bottom marker occupies the span (-1, 0]), with no internal
 shifting, so printed traces read exactly like the items themselves.
@@ -27,7 +37,7 @@ consultations are meaningful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple, Optional
 
@@ -51,15 +61,23 @@ class RunContext(NamedTuple):
 class Clause:
     """A labelled transition schema.
 
-    `matcher(stack, ctx)` yields one tuple per applicable instance:
+    `matcher(window, ctx)` yields one tuple per applicable instance:
     ``(matched, replacement, consulted)`` where `matched` is how many top
     items the instance consumes, `replacement` the items pushed in their
     place (bottom to top), and `consulted` the input position a scanning
-    step read, or None.
+    step read, or None.  `window` is the top `Automaton.reach` items of the
+    stack (fewer on a shorter stack), and a matcher reads nothing else.
+
+    `top` and `below`, when given, are the item types the clause needs on
+    top of the window and right below it; the engine does not call the
+    matcher on other windows.  They only filter: a matcher still checks
+    the types itself, so a clause without them finds the same steps.
     """
 
     label: str
     matcher: Callable
+    top: Optional[type] = None
+    below: Optional[type] = None
 
 
 @dataclass
@@ -77,6 +95,31 @@ class Automaton:
     # item's set, so it accepts on [init, item-containing-fin]).
     make_accepting: Optional[Callable] = None
     collapse_rows: Optional[Callable] = None
+    # How many top items the clauses may read; see `Clause`.
+    reach: int = 2
+    # (type below the top or None, type of the top) -> the clauses that
+    # may apply, in order, filled from `clauses` as windows are met; None
+    # when no clause declares a type.  `__post_init__` makes it afresh, so
+    # copies made by `dataclasses.replace` never share it.
+    _dispatch: Optional[dict] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        declared = any(clause.top is not None or clause.below is not None
+                       for clause in self.clauses)
+        self._dispatch = {} if declared else None
+
+    def clauses_for(self, window):
+        """The clauses, in order, whose declared item types fit the window."""
+        if self._dispatch is None:
+            return self.clauses
+        key = (type(window[-2]) if len(window) > 1 else None, type(window[-1]))
+        clauses = self._dispatch.get(key)
+        if clauses is None:
+            below, top = key
+            clauses = self._dispatch[key] = tuple(
+                clause for clause in self.clauses
+                if clause.top in (None, top) and clause.below in (None, below))
+        return clauses
 
     def accepting_predicate(self, n):
         if self.make_accepting is not None:
@@ -124,9 +167,23 @@ def default_max_depth(n, size_hint):
 
 
 def _successors(clauses, stack, ctx):
+    """Every step the clauses allow on `stack`, computed afresh: what the
+    run's table records and replays."""
     for clause in clauses:
         for matched, replacement, consulted in clause.matcher(stack, ctx):
             yield clause.label, matched, replacement, consulted
+
+
+def _recorded(clauses, window, ctx, table):
+    """The window's steps; once all are pulled they are stored in `table`."""
+    steps = []
+    for clause in clauses:
+        label = clause.label
+        for matched, replacement, consulted in clause.matcher(window, ctx):
+            step = (label, matched, replacement, consulted)
+            steps.append(step)
+            yield step
+    table[window] = steps
 
 
 def run(automaton: Automaton, tokens, *, max_steps: int = 1_000_000,
@@ -147,29 +204,37 @@ def run(automaton: Automaton, tokens, *, max_steps: int = 1_000_000,
     if max_depth is None:
         max_depth = default_max_depth(n, automaton.size_hint)
     accepting = automaton.accepting_predicate(n)
+    reach = automaton.reach
     start = (automaton.make_init(n),)
 
-    # Every stack reached maps to (parent stack, clause label), the start to
-    # None; the first path to reach a stack is the one its trace follows.
-    # With pruning on, the same map is the visited set.
+    # Every stack reached maps to its link (stack, clause label, link of
+    # the parent stack), the start to None; the first path to reach a
+    # stack is the one its trace follows.  With pruning on, the same map
+    # is the visited set.
     parents = {start: None}
     order = [start] if keep_visited else None
     consulted_sets = {frozenset()} if collect_consulted else None
+    table = {}  # window -> its steps, once a search has pulled them all
 
     explored = 1
     applications = 0
     deepest = 1
     duplicates = 0
     limit_hit = False
-    accept_cfg = start if accepting(start) else None
+    accepted = accepting(start)
+    accept_link = None
     accept_consulted = frozenset()
     # widest consulted set, ordered by (len, sorted): keys that compare
     # equal belong to equal sets, so it does not depend on search order
     widest = frozenset()
 
-    agenda = [(start, frozenset(), _successors(automaton.clauses, start, ctx))]
+    clauses_for = automaton.clauses_for
+    window = start[-reach:]
+    # agenda entries: (stack, consulted set, its steps, its link)
+    agenda = [(start, frozenset(),
+               _recorded(clauses_for(window), window, ctx, table), None)]
     while agenda:
-        cfg, base, successors = agenda[-1]
+        cfg, base, successors, link = agenda[-1]
         step = next(successors, None)
         if step is None:
             agenda.pop()
@@ -186,11 +251,14 @@ def run(automaton: Automaton, tokens, *, max_steps: int = 1_000_000,
         if len(new_cfg) > max_depth:
             limit_hit = True
             continue
-        link = (cfg, label)
+        new_link = (new_cfg, label, link)
         # one lookup both tests for and records the stack
-        if parents.setdefault(new_cfg, link) is not link and prune:
-            duplicates += 1
-            continue
+        first = parents.setdefault(new_cfg, new_link)
+        if first is not new_link:
+            if prune:
+                duplicates += 1
+                continue
+            new_link = first
         explored += 1
         if keep_visited:
             order.append(new_cfg)
@@ -201,15 +269,22 @@ def run(automaton: Automaton, tokens, *, max_steps: int = 1_000_000,
                 widest = new_consulted
         if len(new_cfg) > deepest:
             deepest = len(new_cfg)
-        if accept_cfg is None and accepting(new_cfg):
-            accept_cfg = new_cfg
+        if not accepted and accepting(new_cfg):
+            accepted = True
+            accept_link = new_link
             accept_consulted = new_consulted
             if not exhaustive:
                 break
-        agenda.append((new_cfg, new_consulted,
-                       _successors(automaton.clauses, new_cfg, ctx)))
+        window = new_cfg[-reach:]
+        steps = table.get(window)
+        if steps is None:
+            agenda.append((new_cfg, new_consulted,
+                           _recorded(clauses_for(window), window, ctx, table),
+                           new_link))
+        elif steps:
+            agenda.append((new_cfg, new_consulted, iter(steps), new_link))
 
-    if accept_cfg is not None:
+    if accepted:
         verdict = Verdict.ACCEPT
         final_consulted = accept_consulted
     else:
@@ -224,22 +299,19 @@ def run(automaton: Automaton, tokens, *, max_steps: int = 1_000_000,
         limit_hit=limit_hit,
         consulted_sets=frozenset(consulted_sets) if collect_consulted else None,
     )
-    trace = _build_trace(parents, accept_cfg) if accept_cfg is not None else None
+    trace = _build_trace(start, accept_link) if accepted else None
     return RunResult(verdict, stats, trace,
                      visited=tuple(order) if keep_visited else None)
 
 
-def _build_trace(parents, end):
+def _build_trace(initial, link):
+    """The trace that ends at `link`'s stack, read off the link chain."""
     steps = []
-    cur = end
-    link = parents[end]
     while link is not None:
-        prev, label = link
-        steps.append(TraceStep(label, cur))
-        cur = prev
-        link = parents[cur]
+        stack, label, link = link
+        steps.append(TraceStep(label, stack))
     steps.reverse()
-    return Trace(cur, tuple(steps))
+    return Trace(initial, tuple(steps))
 
 
 def accepting_trace(result: RunResult) -> Trace:
@@ -264,7 +336,7 @@ def replay(automaton: Automaton, tokens, trace: Trace) -> bool:
         matcher = matchers.get(step.label)
         if matcher is None or not any(
                 cur[:len(cur) - matched] + replacement == step.stack
-                for matched, replacement, _ in matcher(cur, ctx)):
+                for matched, replacement, _ in matcher(cur[-automaton.reach:], ctx)):
             return False
         cur = step.stack
     return automaton.accepting_predicate(ctx.n)(cur)

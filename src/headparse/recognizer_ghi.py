@@ -200,9 +200,12 @@ def build_ghi(g: GenHeadGrammar) -> Automaton:
             for t in ordered(q2):
                 yield DoneItem(item.k, t, edge) if rightward else DoneItem(edge, t, item.m)
 
+    # Each factory returns its clause with the item types its matcher
+    # checks declared, so the engine can skip the matcher on other windows.
+
     # -- 1a..1d: empty-subtree conversions ---------------------------------
 
-    def empty_side(shape, rightward):
+    def empty_side(label, shape, rightward):
         def matcher(stack, ctx):
             top = stack[-1]
             if type(top) is not shape:
@@ -211,11 +214,11 @@ def build_ghi(g: GenHeadGrammar) -> Automaton:
             if q2:
                 for item in found(top, rightward, top.m if rightward else top.k, q2):
                     yield 1, (item,), None
-        return matcher
+        return Clause(label, matcher, top=shape)
 
     # -- 2/3: head scans into a pending subtree window ----------------------
 
-    def scan(shape, rightward):
+    def scan(label, shape, rightward):
         def matcher(stack, ctx):
             top = stack[-1]
             if type(top) is not shape:
@@ -226,11 +229,11 @@ def build_ghi(g: GenHeadGrammar) -> Automaton:
                 q2 = goto_sym(base, ctx.tokens[p - 1])
                 if q2:
                     yield 1, (top, FullItem(lo, p - 1, q2, p, hi)), p
-        return matcher
+        return Clause(label, matcher, top=shape)
 
     # -- 4/5: attach a completed subtree -----------------------------------
 
-    def attach_tree(shape, rightward):
+    def attach_tree(label, shape, rightward):
         def matcher(stack, ctx):
             if len(stack) < 2:
                 return
@@ -246,11 +249,11 @@ def build_ghi(g: GenHeadGrammar) -> Automaton:
             if q2:
                 for item in found(below, rightward, top.m if rightward else top.k, q2):
                     yield 2, (item,), None
-        return matcher
+        return Clause(label, matcher, top=DoneItem, below=shape)
 
     # -- 6/7: attach a completed rule as a new subtree root -----------------
 
-    def attach_rule(shape, rightward):
+    def attach_rule(label, shape, rightward):
         def matcher(stack, ctx):
             if len(stack) < 2:
                 return
@@ -266,25 +269,25 @@ def build_ghi(g: GenHeadGrammar) -> Automaton:
             if q2:
                 lo, hi = (below.m, below.j) if rightward else (below.i, below.k)
                 yield 1, (FullItem(lo, top.k, q2, top.m, hi),), None
-        return matcher
+        return Clause(label, matcher, top=DoneItem, below=shape)
 
     clauses = (
-        Clause("1a", empty_side(FullItem, True)),
-        Clause("1b", empty_side(FullItem, False)),
-        Clause("1c", empty_side(RightOpenItem, True)),
-        Clause("1d", empty_side(LeftOpenItem, False)),
-        Clause("2a", scan(FullItem, True)),
-        Clause("2b", scan(FullItem, False)),
-        Clause("3a", scan(RightOpenItem, True)),
-        Clause("3b", scan(LeftOpenItem, False)),
-        Clause("4a", attach_tree(FullItem, True)),
-        Clause("4b", attach_tree(FullItem, False)),
-        Clause("5a", attach_tree(RightOpenItem, True)),
-        Clause("5b", attach_tree(LeftOpenItem, False)),
-        Clause("6a", attach_rule(FullItem, True)),
-        Clause("6b", attach_rule(FullItem, False)),
-        Clause("7a", attach_rule(RightOpenItem, True)),
-        Clause("7b", attach_rule(LeftOpenItem, False)),
+        empty_side("1a", FullItem, True),
+        empty_side("1b", FullItem, False),
+        empty_side("1c", RightOpenItem, True),
+        empty_side("1d", LeftOpenItem, False),
+        scan("2a", FullItem, True),
+        scan("2b", FullItem, False),
+        scan("3a", RightOpenItem, True),
+        scan("3b", LeftOpenItem, False),
+        attach_tree("4a", FullItem, True),
+        attach_tree("4b", FullItem, False),
+        attach_tree("5a", RightOpenItem, True),
+        attach_tree("5b", LeftOpenItem, False),
+        attach_rule("6a", FullItem, True),
+        attach_rule("6b", FullItem, False),
+        attach_rule("7a", RightOpenItem, True),
+        attach_rule("7b", LeftOpenItem, False),
     )
 
     def render_item(item):

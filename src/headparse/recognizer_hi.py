@@ -243,6 +243,8 @@ def build_hi(aug: AugmentedGrammar) -> Automaton:
         Clause("4a", reduce_side(True, advance=True)),
         Clause("4b", reduce_side(False, advance=True)),
     )
+    # a reduction reads the rule's members and the context item below them
     return Automaton("hi", clauses, make_init, make_fin, _render_hi(aug),
                      (len(rules), len(aug.nonterminals)),
-                     make_accepting=make_accepting)
+                     make_accepting=make_accepting,
+                     reach=1 + max(len(r.rhs) for r in rules))

@@ -236,15 +236,15 @@ def build_td(aug: AugmentedGrammar) -> Automaton:
                 yield 2, (_dotted_head(aug, rid, below.i, top.k, top.m, below.j),), None
 
     clauses = (
-        Clause("0", clause_0),
-        Clause("0a", predict_side(True)),
-        Clause("0b", predict_side(False)),
-        Clause("1", clause_1),
-        Clause("2a", _make_scan(aug, True)),
-        Clause("2b", _make_scan(aug, False)),
-        Clause("3", clause_3),
-        Clause("4a", _make_attach(aug, True)),
-        Clause("4b", _make_attach(aug, False)),
+        Clause("0", clause_0, top=Goal),
+        Clause("0a", predict_side(True), top=Dotted),
+        Clause("0b", predict_side(False), top=Dotted),
+        Clause("1", clause_1, top=Goal),
+        Clause("2a", _make_scan(aug, True), top=Dotted),
+        Clause("2b", _make_scan(aug, False), top=Dotted),
+        Clause("3", clause_3, top=Dotted, below=Goal),
+        Clause("4a", _make_attach(aug, True), top=Dotted, below=Dotted),
+        Clause("4b", _make_attach(aug, False), top=Dotted, below=Dotted),
     )
     return Automaton("td", clauses, make_init, make_fin, _render_td(aug),
                      (len(aug.rules), len(nts)))

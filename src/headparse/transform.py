@@ -29,8 +29,8 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Optional
 
 from .grammar import (Grammar, GrammarError, HeadGrammar, HeadRule, TOKEN_RE,
-                      _LineError, _read_grammar, _token, _write_grammar,
-                      validate)
+                      _LineError, _read_grammar, _split_words, _token,
+                      _write_grammar, validate)
 
 
 class Tree:
@@ -335,10 +335,14 @@ def _parse_tree(tokens):
 
 def _ghg_rule(line, words) -> GenHeadRule:
     arrow = line.find("->")
-    if arrow < 0:
+    lhs_words = _split_words(line[:arrow]) if arrow >= 0 else ()
+    if len(lhs_words) != 1:
         raise _LineError("expected '<Lhs> -> <tree>'", words[0][0])
-    lhs = _token(words[0][0], line[:arrow].strip())
+    lhs_col, lhs = lhs_words[0]
+    _token(lhs_col, lhs)
     tokens = _tokenize_tree(line, arrow + 2)
+    if not tokens:
+        raise _LineError("empty right-hand side", lhs_col)
     tree, pos = _parse_tree(tokens)
     if tree is None:
         raise _LineError("rule tree may not be empty", tokens[0][0])

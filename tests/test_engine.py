@@ -2,10 +2,12 @@ import dataclasses
 
 import pytest
 
-from headparse import (EngineError, Verdict, accepting_trace, augment,
-                       build_ghi, detect_cyclic, detect_head_recursion, embed,
-                       engine, replay, render_trace_text, run, trace_records)
-from headparse.corpus import all_inputs, head_grammar_corpus, eligible
+from headparse import (Clause, EngineError, Verdict, accepting_trace, augment,
+                       build_ghi, build_hc, detect_cyclic,
+                       detect_head_recursion, embed, engine, replay,
+                       render_trace_text, run, trace_records)
+from headparse.corpus import (all_inputs, eligible, gen_eligible,
+                              gen_grammar_corpus, head_grammar_corpus)
 from headparse.recognizers_basic import build_td
 from conftest import FLAT_BUILDERS, hg
 
@@ -174,3 +176,86 @@ def test_loop_free_grammars_never_hit_limits():
                 result = run(auto, tokens)
                 assert not result.stats.limit_hit
                 assert result.verdict in (Verdict.ACCEPT, Verdict.REJECT)
+
+
+# hi reduces a five-member rule, so its clauses read six items
+LONG_RULES = hg("S", ("S", "a b *S c d"), ("S", "*e f"))
+LONG_INPUTS = [tuple(text.split()) for text in (
+    "e f", "a b e f c d", "a b a b e f c d c d", "a b a b e f c d c", "a e f d")]
+
+
+def _window_cases():
+    """(automaton, inputs): every recognizer on a corpus slice, and the
+    flat ones that terminate there on long rules."""
+    short = all_inputs(("a", "b"), 3)
+    for g in head_grammar_corpus(8, seed=803):
+        aug = augment(g)
+        for name, builder in FLAT_BUILDERS.items():
+            if eligible(aug, name):
+                yield builder(aug), short
+    for g in gen_grammar_corpus(6, seed=804):
+        if gen_eligible(g):
+            yield build_ghi(g), short
+    aug = augment(LONG_RULES)
+    for name, builder in FLAT_BUILDERS.items():
+        if eligible(aug, name):
+            yield builder(aug), LONG_INPUTS
+
+
+def _steps(clauses, stack, ctx):
+    return list(engine._successors(clauses, stack, ctx))
+
+
+def test_clauses_read_only_their_window():
+    # the steps of a stack are a function of its top `reach` items, which
+    # is what lets one run share them between stacks; the declared item
+    # types only skip clauses that would find nothing
+    assert build_hc(augment(LONG_RULES)).reach == 2
+    assert FLAT_BUILDERS["hi"](augment(LONG_RULES)).reach == 6
+    checked = 0
+    for automaton, inputs in _window_cases():
+        for tokens in inputs:
+            ctx = engine.RunContext(tokens, len(tokens))
+            result = run(automaton, tokens, exhaustive=True, keep_visited=True)
+            for stack in result.visited:
+                window = stack[-automaton.reach:]
+                steps = _steps(automaton.clauses, window, ctx)
+                assert _steps(automaton.clauses, stack, ctx) == steps
+                assert _steps(automaton.clauses_for(window), window, ctx) == steps
+                checked += 1
+    assert checked > 1000
+
+
+def test_undeclared_clauses_search_the_same_way():
+    # an automaton rebuilt from bare (label, matcher) clauses, as a wrapper
+    # that times matchers builds it, runs the same search
+    for automaton, inputs in _window_cases():
+        bare = dataclasses.replace(automaton, clauses=tuple(
+            Clause(c.label, c.matcher) for c in automaton.clauses))
+        for tokens in inputs:
+            declared = run(automaton, tokens, exhaustive=True)
+            plain = run(bare, tokens, exhaustive=True)
+            assert plain.stats == declared.stats
+            assert plain.accepting_trace == declared.accepting_trace
+
+
+def test_matchers_run_once_per_distinct_window():
+    # S -> S *S | *a on a^8 reaches three times as many stacks as it has
+    # distinct top-two windows; every matcher runs at most once per window
+    automaton = build_hc(augment(hg("S", ("S", "S *S"), ("S", "*a"))))
+    calls = []
+
+    def counted(matcher):
+        def matcher_calls(window, ctx):
+            calls.append(window)
+            return matcher(window, ctx)
+        return matcher_calls
+    counting = dataclasses.replace(automaton, clauses=tuple(
+        dataclasses.replace(c, matcher=counted(c.matcher))
+        for c in automaton.clauses))
+    tokens = ("a",) * 8
+    result = run(counting, tokens, exhaustive=True, keep_visited=True)
+    assert result.stats == run(automaton, tokens, exhaustive=True).stats
+    windows = {stack[-automaton.reach:] for stack in result.visited}
+    assert result.stats.configurations_explored > 3 * len(windows)
+    assert len(calls) <= len(automaton.clauses) * len(windows)

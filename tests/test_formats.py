@@ -124,10 +124,12 @@ def test_parse_ghg_reports_positions():
     ("   A{ -> (a)", "bad token 'A{'", 4),
     ("  S (a)", "expected '<Lhs> -> <tree>'", 3),
     ("S -> ()", "rule tree may not be empty", 6),
+    ("  S ->", "empty right-hand side", 3),
+    ("A B -> (a)", "expected '<Lhs> -> <tree>'", 1),
+    ("  -> (a)", "expected '<Lhs> -> <tree>'", 3),
 ])
 def test_parse_ghg_error_columns_count_from_line_start(line, message, column):
     with pytest.raises(GrammarFormatError) as err:
         parse_ghg("start S\n%s\n" % line, source="g.ghg")
     assert (err.value.message, err.value.line, err.value.column) == (message, 2, column)
     assert str(err.value) == "g.ghg:2:%d: %s" % (column, message)
-
