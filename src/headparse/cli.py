@@ -3,7 +3,7 @@
 Subcommands: recognize, transform, compare, enumerate.
 
 Exit codes: 0 accept, 1 reject, 2 resource limit (a search bound, or the
-oracle's cap on enumerated sentential forms), 3 grammar or input errors,
+oracle's cap on enumerated sentential forms), 3 grammar, input or file errors,
 4 usage errors, 5 verdict disagreement in `compare`, 6 internal error (a
 fault in headparse itself, reported on stderr).
 
@@ -19,7 +19,7 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from . import differential, engine, oracle
@@ -80,14 +80,7 @@ class RunReport:
     trace: Optional[list] = None
 
     def to_dict(self):
-        return {
-            "grammar": self.grammar,
-            "algorithm": self.algorithm,
-            "input": list(self.input),
-            "verdict": self.verdict,
-            "stats": dict(self.stats),
-            "trace": self.trace,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data):
@@ -111,7 +104,7 @@ def _load_grammar(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise GrammarError("cannot read %s: %s" % (path, exc))
     if path.endswith(".ghg"):
         return parse_ghg(text, source=path)
@@ -140,12 +133,8 @@ def _automaton_for(algorithm: str, grammar, embed_plain: bool):
 
 
 def _run_limits(args) -> dict:
-    out = {}
-    if getattr(args, "max_steps", None) is not None:
-        out["max_steps"] = args.max_steps
-    if getattr(args, "max_depth", None) is not None:
-        out["max_depth"] = args.max_depth
-    return out
+    limits = {"max_steps": args.max_steps, "max_depth": args.max_depth}
+    return {key: value for key, value in limits.items() if value is not None}
 
 
 def cmd_recognize(args) -> int:
@@ -188,20 +177,15 @@ def cmd_transform(args) -> int:
         mapping.items(), key=lambda kv: kv[1])]
     text = format_hg(safe, comments=comments)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print("error: cannot write %s: %s" % (args.output, exc), file=sys.stderr)
+            return EXIT_ERROR
     else:
         print(text, end="")
     return 0
-
-
-def _compare_rows(grammar, tokens, algorithms, embed_plain, limits, exhaustive):
-    rows = []
-    for name in algorithms:
-        automaton = _automaton_for(name, grammar, embed_plain)
-        result = engine.run(automaton, tokens, exhaustive=exhaustive, **limits)
-        rows.append((name, result))
-    return rows
 
 
 def _print_table(rows):
@@ -223,8 +207,10 @@ def cmd_compare(args) -> int:
     grammar = _load_grammar(args.grammar)
     tokens = _tokens(args)
     td_skipped = False
-    if args.algorithms:
+    if args.algorithms is not None:
         algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
+        if not algorithms:
+            raise UsageError("--algorithms names no algorithm")
         for name in algorithms:
             if name not in ALGORITHMS:
                 raise UsageError("unknown algorithm %r" % name)
@@ -235,8 +221,10 @@ def cmd_compare(args) -> int:
         td_skipped = not eligible(augment(grammar), "td")
         algorithms = [name for name in FLAT_BUILDERS
                       if not (td_skipped and name == "td")]
-    rows = _compare_rows(grammar, tokens, algorithms, args.embed,
-                         _run_limits(args), args.exhaustive)
+    limits = _run_limits(args)
+    rows = [(name, engine.run(_automaton_for(name, grammar, args.embed), tokens,
+                              exhaustive=args.exhaustive, **limits))
+            for name in algorithms]
     _print_table(rows)
     if td_skipped:
         print("td skipped: grammar is head-recursive")

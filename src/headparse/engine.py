@@ -28,11 +28,9 @@ directly (the bottom marker occupies the span (-1, 0]), with no internal
 shifting, so printed traces read exactly like the items themselves.
 
 Each search path also carries the set of input positions its scanning
-steps consulted.  These per-path sets are what the correct-subsequence
-check in `headparse.oracle` inspects.  A set rides on the path's agenda
-entry rather than in a map keyed by stack, so sets from different search
-branches are never merged by construction; only an individual path's
-consultations are meaningful.
+steps consulted, on its agenda entry rather than in a map keyed by stack,
+so sets from different search branches are never merged.  A run reports
+one of them: the accepting path's, or else the widest any path reached.
 """
 
 from __future__ import annotations
@@ -150,7 +148,6 @@ class RunStats:
     consulted_positions: frozenset = frozenset()
     duplicates_pruned: int = 0
     limit_hit: bool = False
-    consulted_sets: Optional[frozenset] = None
 
 
 @dataclass
@@ -158,7 +155,6 @@ class RunResult:
     verdict: Verdict
     stats: RunStats
     accepting_trace: Optional[Trace] = None
-    visited: Optional[tuple] = None
 
 
 def default_max_depth(n, size_hint):
@@ -187,9 +183,7 @@ def _recorded(clauses, window, ctx, table):
 
 
 def run(automaton: Automaton, tokens, *, max_steps: int = 1_000_000,
-        max_depth: Optional[int] = None, exhaustive: bool = False,
-        collect_consulted: bool = False, keep_visited: bool = False,
-        prune: bool = True) -> RunResult:
+        max_depth: Optional[int] = None, exhaustive: bool = False) -> RunResult:
     """Search the automaton's configuration space on the given input.
 
     Returns ACCEPT as soon as an accepting stack is reachable (the whole
@@ -209,11 +203,8 @@ def run(automaton: Automaton, tokens, *, max_steps: int = 1_000_000,
 
     # Every stack reached maps to its link (stack, clause label, link of
     # the parent stack), the start to None; the first path to reach a
-    # stack is the one its trace follows.  With pruning on, the same map
-    # is the visited set.
+    # stack is the one its trace follows; the same map is the visited set.
     parents = {start: None}
-    order = [start] if keep_visited else None
-    consulted_sets = {frozenset()} if collect_consulted else None
     table = {}  # window -> its steps, once a search has pulled them all
 
     explored = 1
@@ -245,23 +236,16 @@ def run(automaton: Automaton, tokens, *, max_steps: int = 1_000_000,
             limit_hit = True
             break
         new_cfg = cfg[:len(cfg) - matched] + replacement
-        new_consulted = base if pos is None else base | {pos}
-        if collect_consulted and new_consulted is not base:
-            consulted_sets.add(new_consulted)
         if len(new_cfg) > max_depth:
             limit_hit = True
             continue
         new_link = (new_cfg, label, link)
         # one lookup both tests for and records the stack
-        first = parents.setdefault(new_cfg, new_link)
-        if first is not new_link:
-            if prune:
-                duplicates += 1
-                continue
-            new_link = first
+        if parents.setdefault(new_cfg, new_link) is not new_link:
+            duplicates += 1
+            continue
         explored += 1
-        if keep_visited:
-            order.append(new_cfg)
+        new_consulted = base if pos is None else base | {pos}
         if new_consulted is not base:
             size = len(new_consulted)
             if size > len(widest) or (size == len(widest)
@@ -297,11 +281,9 @@ def run(automaton: Automaton, tokens, *, max_steps: int = 1_000_000,
         consulted_positions=final_consulted,
         duplicates_pruned=duplicates,
         limit_hit=limit_hit,
-        consulted_sets=frozenset(consulted_sets) if collect_consulted else None,
     )
     trace = _build_trace(start, accept_link) if accepted else None
-    return RunResult(verdict, stats, trace,
-                     visited=tuple(order) if keep_visited else None)
+    return RunResult(verdict, stats, trace)
 
 
 def _build_trace(initial, link):

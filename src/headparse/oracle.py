@@ -22,9 +22,6 @@ from __future__ import annotations
 from enum import Enum
 from typing import Iterable
 
-from .grammar import HeadGrammar
-from .transform import GenHeadGrammar, tau_head
-
 
 class EnumerationLimitError(RuntimeError):
     """The enumeration frontier outgrew its cap."""
@@ -36,13 +33,7 @@ def _plain_rules(g):
 
 
 def recognize(g, tokens) -> bool:
-    """True iff the start symbol derives exactly the token sequence.
-
-    Generalized grammars are routed through the flattening transformation;
-    they generate the same language as their flattened form.
-    """
-    if isinstance(g, GenHeadGrammar):
-        g = tau_head(g)
+    """True iff the start symbol derives exactly the token sequence."""
     tokens = tuple(tokens)
     n = len(tokens)
     if n == 0:
@@ -51,22 +42,23 @@ def recognize(g, tokens) -> bool:
     return g.start in chart[(0, n)]
 
 
-def _chart(g: HeadGrammar, tokens):
+def _chart(g, tokens):
     n = len(tokens)
     nts = g.nonterminals
-    unit_rules = [(r.lhs, r.rhs[0]) for r in g.rules
-                  if len(r.rhs) == 1 and r.rhs[0] in nts]
-    other_rules = [r for r in g.rules
-                   if not (len(r.rhs) == 1 and r.rhs[0] in nts)]
+    rules = _plain_rules(g)
+    unit_rules = [(lhs, members[0]) for lhs, members in rules
+                  if len(members) == 1 and members[0] in nts]
+    other_rules = [(lhs, members) for lhs, members in rules
+                   if not (len(members) == 1 and members[0] in nts)]
     chart = {}
     for width in range(1, n + 1):
         for i in range(0, n - width + 1):
             j = i + width
             cell = set()
             chart[(i, j)] = cell
-            for r in other_rules:
-                if _derives_span(g, chart, tokens, r.rhs, i, j):
-                    cell.add(r.lhs)
+            for lhs, members in other_rules:
+                if _derives_span(g, chart, tokens, members, i, j):
+                    cell.add(lhs)
             # unit closure; stabilizes within |nonterminals| passes
             changed = True
             while changed:

@@ -1,3 +1,5 @@
+from typing import NamedTuple
+
 import pytest
 
 from headparse import engine
@@ -21,6 +23,34 @@ B -> (A () (b))
 DEEP_DEPTH = 1200
 DEEP_GHG = "start S\nS -> %s(a)%s\n" % ("(a " * (DEEP_DEPTH - 1),
                                         " ())" * (DEEP_DEPTH - 1))
+
+
+class Explored(NamedTuple):
+    stacks: set
+    consulted: set
+
+
+def explore(automaton, tokens):
+    """The reference a run is checked against: the stacks and every path's
+    consulted sets over all (stack, consulted set) states reachable by
+    `engine._successors` on whole stacks.  No table, pruning or bounds; a
+    case with more than 200,000 states fails instead of hanging."""
+    tokens = tuple(tokens)
+    ctx = engine.RunContext(tokens, len(tokens))
+    states = {((automaton.make_init(len(tokens)),), frozenset())}
+    work = list(states)
+    while work:
+        stack, consulted = work.pop()
+        for _, matched, replacement, pos in engine._successors(
+                automaton.clauses, stack, ctx):
+            state = (stack[:len(stack) - matched] + replacement,
+                     consulted if pos is None else consulted | {pos})
+            if state not in states:
+                states.add(state)
+                work.append(state)
+        assert len(states) <= 200_000, "search space outgrew the cap"
+    return Explored({stack for stack, _ in states},
+                    {consulted for _, consulted in states})
 
 
 def run_verdict(automaton, tokens, **kwargs):

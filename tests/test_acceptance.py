@@ -26,6 +26,7 @@ from headparse.oracle import (SubsequenceVerdict, check_subsequence_property,
 from headparse.recognizer_ghi import build_ghi
 from headparse.recognizers_basic import build_td
 from headparse.transform import embed
+from conftest import explore
 
 HEAD_SEED = 31415
 GEN_SEED = 27182
@@ -223,9 +224,8 @@ def test_criterion_subsequence_property(head_corpus):
             automata.append(("ghi", build_ghi(embed(g))))
         for tokens in inputs:
             for name, automaton in automata:
-                result = run(automaton, tokens, collect_consulted=True,
-                             max_steps=100_000)
-                for consulted in result.stats.consulted_sets:
+                # the consulted set of every path, pruned or not
+                for consulted in explore(automaton, tokens).consulted:
                     needle = tuple(tokens[p - 1] for p in sorted(consulted))
                     verdict = verdict_cache.get(needle)
                     if verdict is None:

@@ -109,6 +109,15 @@ def test_missing_file_exit_code(tmp_path):
     assert code == EXIT_ERROR
 
 
+def test_non_utf8_grammar_file_exit_code(tmp_path, capsys):
+    path = tmp_path / "latin1.hg"
+    path.write_bytes(b"start S\nS -> *\xff\n")
+    code = main(["recognize", "--grammar", str(path), "--algorithm", "td",
+                 "--input", "a"])
+    assert code == EXIT_ERROR
+    assert capsys.readouterr().err.startswith("error: cannot read %s: " % path)
+
+
 def test_unknown_extension_is_usage_error(tmp_path):
     path = tmp_path / "g.txt"
     path.write_text(TINY_HG, encoding="utf-8")
@@ -140,6 +149,14 @@ def test_transform_tau_head_output_reparses(demo_ghg_path, tmp_path, capsys):
     assert "# B1 =" in text
     assert enumerate_language(flat, 4) == {("c", "a", "b", "s"),
                                            ("a", "d", "s"), ("a", "b", "s")}
+
+
+@pytest.mark.parametrize("target", ["missing/flat.hg", "."])  # no dir; a dir
+def test_transform_unwritable_output_exit_code(target, demo_ghg_path, tmp_path, capsys):
+    out = tmp_path / target
+    assert main(["transform", "--tau-head", demo_ghg_path, "-o", str(out)]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write %s: " % out) and err.count("\n") == 1
 
 
 def test_transform_tau_two_stdout(tiny_hg_path, capsys):
@@ -191,6 +208,13 @@ def test_compare_random_batch_agrees(capsys):
     # also run on loop-prone ones
     assert ("495 runs (300 on loop-prone grammars), 0 disagreements, "
             "0 resource limits, td skipped on 7 head-recursive grammars") in out
+
+
+@pytest.mark.parametrize("algorithms", [",", ""])
+def test_compare_empty_algorithm_list_is_usage_error(algorithms, tiny_hg_path, capsys):
+    argv = ["compare", "--grammar", tiny_hg_path, "--algorithms", algorithms]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().out == ""
 
 
 def test_compare_requires_grammar_or_random():

@@ -9,7 +9,7 @@ from headparse import (Clause, EngineError, Verdict, accepting_trace, augment,
 from headparse.corpus import (all_inputs, eligible, gen_eligible,
                               gen_grammar_corpus, head_grammar_corpus)
 from headparse.recognizers_basic import build_td
-from conftest import FLAT_BUILDERS, hg
+from conftest import FLAT_BUILDERS, explore, hg
 
 
 def test_td_accepts_single_terminal():
@@ -105,35 +105,25 @@ def test_trace_output_renders_each_distinct_item_once(name):
 
 
 def test_pruning_safety_verdicts_agree():
-    # on runs that terminate both ways, pruning must not change the verdict
+    # pruning must not change the verdict: a run accepts iff the reference
+    # reaches an accepting stack
     for g in head_grammar_corpus(12, seed=801):
         aug = augment(g)
         if detect_head_recursion(aug) is not None or detect_cyclic(aug) is not None:
             continue
         auto = build_td(aug)
         for tokens in all_inputs(("a", "b"), 3):
-            pruned = run(auto, tokens)
-            free = run(auto, tokens, prune=False, max_steps=30_000)
-            if not free.stats.limit_hit:
-                assert pruned.verdict == free.verdict
+            accepting = auto.accepting_predicate(len(tokens))
+            reached = any(map(accepting, explore(auto, tokens).stacks))
+            assert (run(auto, tokens).verdict is Verdict.ACCEPT) == reached
 
 
 def test_explored_configurations_are_reachable(tiny_grammar):
-    # independent breadth-first reachability over the same clause set
+    # an exhaustive run visits each stack the reference reaches, once
     auto = build_td(augment(tiny_grammar))
     tokens = ("c", "a", "b")
-    result = run(auto, tokens, exhaustive=True, keep_visited=True)
-    ctx = engine.RunContext(tokens, len(tokens))
-    reachable = {(auto.make_init(len(tokens)),)}
-    frontier = list(reachable)
-    while frontier:
-        cfg = frontier.pop()
-        for _, matched, replacement, _ in engine._successors(auto.clauses, cfg, ctx):
-            new = cfg[:len(cfg) - matched] + replacement
-            if new not in reachable:
-                reachable.add(new)
-                frontier.append(new)
-    assert set(result.visited) <= reachable
+    result = run(auto, tokens, exhaustive=True)
+    assert result.stats.configurations_explored == len(explore(auto, tokens).stacks)
 
 
 def test_consulted_positions_monotone_along_trace(tiny_grammar):
@@ -216,8 +206,10 @@ def test_clauses_read_only_their_window():
     for automaton, inputs in _window_cases():
         for tokens in inputs:
             ctx = engine.RunContext(tokens, len(tokens))
-            result = run(automaton, tokens, exhaustive=True, keep_visited=True)
-            for stack in result.visited:
+            stacks = explore(automaton, tokens).stacks
+            result = run(automaton, tokens, exhaustive=True)
+            assert result.stats.configurations_explored == len(stacks)
+            for stack in stacks:
                 window = stack[-automaton.reach:]
                 steps = _steps(automaton.clauses, window, ctx)
                 assert _steps(automaton.clauses, stack, ctx) == steps
@@ -254,8 +246,8 @@ def test_matchers_run_once_per_distinct_window():
         dataclasses.replace(c, matcher=counted(c.matcher))
         for c in automaton.clauses))
     tokens = ("a",) * 8
-    result = run(counting, tokens, exhaustive=True, keep_visited=True)
+    result = run(counting, tokens, exhaustive=True)
     assert result.stats == run(automaton, tokens, exhaustive=True).stats
-    windows = {stack[-automaton.reach:] for stack in result.visited}
+    windows = {stack[-automaton.reach:] for stack in explore(automaton, tokens).stacks}
     assert result.stats.configurations_explored > 3 * len(windows)
     assert len(calls) <= len(automaton.clauses) * len(windows)

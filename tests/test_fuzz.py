@@ -40,9 +40,10 @@ GRAMMAR_FILES = {
     "broken.hg": "start S\nS -> *a *b\n",
     "broken.ghg": "start S\nS -> (a (b)\n",
     "notes.txt": "start S\n",
+    "latin1.hg": b"start S\nS -> *\xe9\n",  # not UTF-8
 }
 FILES = ("@tiny.hg", "@demo.ghg", "@broken.hg", "@broken.ghg", "@notes.txt",
-         "@missing.hg")
+         "@latin1.hg", "@missing.hg")
 NUMBERS = ("0", "1", "2", "3", "-1", "x")
 VALUES = {
     "--grammar": FILES, "--tau-head": FILES, "--tau-two": FILES,
@@ -95,7 +96,7 @@ def command_lines(draw):
 def grammar_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
     for name, text in GRAMMAR_FILES.items():
-        (root / name).write_text(text, encoding="utf-8")
+        (root / name).write_bytes(text if isinstance(text, bytes) else text.encode())
     return root
 
 

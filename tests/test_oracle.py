@@ -7,7 +7,7 @@ from headparse.oracle import (EnumerationLimitError, SubsequenceVerdict,
                               enumerate_report, is_subsequence, recognize,
                               useless_symbols)
 from headparse.recognizers_basic import build_hc
-from conftest import hg
+from conftest import explore, hg
 
 
 def test_recognize_demo_sentence(tree_demo_grammar):
@@ -81,10 +81,10 @@ def test_subsequence_property_on_failed_run(tiny_grammar):
     aug = augment(tiny_grammar)
     auto = build_hc(aug)
     tokens = ("c", "a", "d")
-    result = run(auto, tokens, collect_consulted=True)
-    assert result.verdict is Verdict.REJECT
-    assert result.stats.consulted_sets
-    for consulted in result.stats.consulted_sets:
+    assert run(auto, tokens).verdict is Verdict.REJECT
+    consulted_sets = explore(auto, tokens).consulted
+    assert any(consulted_sets)
+    for consulted in consulted_sets:
         verdict = check_subsequence_property(tiny_grammar, tokens, consulted)
         assert verdict is SubsequenceVerdict.HOLDS
 
@@ -97,9 +97,8 @@ def test_subsequence_property_flags_broken_recognizer(tiny_grammar):
     everything = frozenset((b, a) for b in aug.nonterminals for a in aug.nonterminals)
     broken = build_hc(aug, hc=everything)
     tokens = ("c", "a", "d")
-    result = run(broken, tokens, collect_consulted=True)
     verdicts = {check_subsequence_property(g, tokens, consulted)
-                for consulted in result.stats.consulted_sets}
+                for consulted in explore(broken, tokens).consulted}
     assert SubsequenceVerdict.FAILS in verdicts
 
 

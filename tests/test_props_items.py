@@ -1,6 +1,6 @@
 """Property group: every item ever pushed satisfies its shape's invariants."""
 
-from headparse import augment, run
+from headparse import augment
 from headparse.corpus import (all_inputs, eligible, gen_eligible,
                               gen_grammar_corpus, head_grammar_corpus)
 from headparse.recognizer_ghi import (DoneItem, FullItem, LeftOpenItem,
@@ -8,6 +8,7 @@ from headparse.recognizer_ghi import (DoneItem, FullItem, LeftOpenItem,
 from headparse.recognizer_hi import HiItem, build_hi
 from headparse.recognizers_basic import (Dotted, Goal, SetInfix, build_ehi,
                                          build_hc, build_phi, build_td)
+from conftest import explore
 
 GRAMMARS = head_grammar_corpus(10, seed=1201)
 INPUTS = all_inputs(("a", "b"), 3)
@@ -21,8 +22,7 @@ def _visited(builder, name):
             continue
         auto = builder(aug)
         for tokens in INPUTS:
-            result = run(auto, tokens, exhaustive=True, keep_visited=True)
-            out.append((aug, len(tokens), result.visited))
+            out.append((aug, len(tokens), explore(auto, tokens).stacks))
     assert out
     return out
 
@@ -98,9 +98,8 @@ def test_ghi_items_well_formed():
             continue
         auto = build_ghi(g)
         for tokens in INPUTS:
-            result = run(auto, tokens, exhaustive=True, keep_visited=True)
             n = len(tokens)
-            for cfg in result.visited:
+            for cfg in explore(auto, tokens).stacks:
                 checked += 1
                 for item in cfg:
                     kind = type(item)

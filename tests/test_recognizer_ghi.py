@@ -10,7 +10,7 @@ from headparse.recognizer_ghi import (DoneItem, FullItem, LeftOpenItem,
                                       gotoright, left_set, right_set, yld)
 from headparse.recognizers_basic import build_hc
 from headparse.transform import GenHeadRule, Tree, embed, tau_head
-from conftest import accepts, hg
+from conftest import accepts, explore, hg
 
 C_A_B = Tree("A", Tree("c"), Tree("b"))
 A_D = Tree("A", None, Tree("d"))
@@ -122,17 +122,14 @@ def test_ghi_spans_never_overlap(tree_demo_automaton):
     # recognized spans on one stack tile the input without overlap
     for tokens in [("c", "a", "b", "s"), ("a", "b", "s"), ("c", "a", "b"),
                    ("a", "d", "s"), ("s", "s")]:
-        result = run(tree_demo_automaton, tokens, exhaustive=True, keep_visited=True)
-        for cfg in result.visited:
+        for cfg in explore(tree_demo_automaton, tokens).stacks:
             spans = sorted((item.k, item.m) for item in cfg)
             for (k1, m1), (k2, m2) in zip(spans, spans[1:]):
                 assert m1 <= k2
 
 
 def test_ghi_item_shapes_well_formed(tree_demo_automaton):
-    result = run(tree_demo_automaton, ("c", "a", "b", "s"),
-                 exhaustive=True, keep_visited=True)
-    for cfg in result.visited:
+    for cfg in explore(tree_demo_automaton, ("c", "a", "b", "s")).stacks:
         for item in cfg:
             kind = type(item)
             if kind is FullItem:
@@ -170,9 +167,7 @@ def test_yld_rejects_inconsistent_sets(tree_demo_grammar):
 
 
 def test_yld_consistent_on_all_reachable_items(tree_demo_automaton):
-    result = run(tree_demo_automaton, ("c", "a", "b", "s"),
-                 exhaustive=True, keep_visited=True)
-    for cfg in result.visited:
+    for cfg in explore(tree_demo_automaton, ("c", "a", "b", "s")).stacks:
         for item in cfg:
             yld(item)  # must not raise
 

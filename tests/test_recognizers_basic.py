@@ -5,7 +5,7 @@ from headparse.corpus import all_inputs, eligible, head_grammar_corpus
 from headparse.oracle import enumerate_language
 from headparse.recognizers_basic import (Goal, SetInfix, build_ehi, build_hc,
                                          build_phi, build_td)
-from conftest import FLAT_BUILDERS, accepts, hg
+from conftest import FLAT_BUILDERS, accepts, explore, hg
 
 
 def test_td_tiny_accept_reject(tiny_grammar):
@@ -46,10 +46,9 @@ def test_hc_prediction_respects_head_corner(tiny_grammar):
     g = hg("S", ("S", "c *A b"), ("A", "*a"), ("D", "*d"))
     aug = augment(g)
     auto = build_hc(aug)
-    result = run(auto, ("c", "a", "d"), exhaustive=True, keep_visited=True)
-    assert result.verdict is Verdict.REJECT
+    assert run(auto, ("c", "a", "d")).verdict is Verdict.REJECT
     d_rules = set(aug.rules_by_lhs["D"])
-    for cfg in result.visited:
+    for cfg in explore(auto, ("c", "a", "d")).stacks:
         for item in cfg:
             assert item.rule not in d_rules
 
@@ -103,8 +102,7 @@ def test_ehi_delta_never_empty():
     g = hg("S", ("S", "c *A b"), ("S", "c *A d"), ("A", "*a"))
     auto = build_ehi(augment(g))
     for tokens in all_inputs(("a", "b", "c"), 3):
-        result = run(auto, tokens, exhaustive=True, keep_visited=True)
-        for cfg in result.visited:
+        for cfg in explore(auto, tokens).stacks:
             for item in cfg:
                 assert isinstance(item, SetInfix) and item.delta
 
@@ -122,8 +120,8 @@ def test_ehi_agrees_with_oracle_on_randoms():
 
 def test_td_goal_items_only_in_td(tiny_grammar):
     aug = augment(tiny_grammar)
-    td = run(build_td(aug), ("c", "a", "b"), exhaustive=True, keep_visited=True)
-    assert any(type(item) is Goal for cfg in td.visited for item in cfg)
+    td = explore(build_td(aug), ("c", "a", "b"))
+    assert any(type(item) is Goal for cfg in td.stacks for item in cfg)
 
 
 def test_mirror_clauses_share_labels():
