@@ -7,10 +7,12 @@ oracle's cap on enumerated sentential forms), 3 grammar, input or file errors,
 4 usage errors, 5 verdict disagreement in `compare`, 6 internal error (a
 fault in headparse itself, reported on stderr).
 
-`compare --random N` runs the acceptance gate's policy,
-`headparse.differential.check`, over N seeded head grammars: td is skipped
-on head-recursive grammars, and hc/phi/ehi/hi also run on cyclic ones.
-`compare --grammar` without `--algorithms` skips td the same way.
+`compare --random N` runs the acceptance gate's check,
+`headparse.differential.check`, over N seeded head grammars, and
+`compare --grammar` without `--algorithms` runs its one grammar's default
+recognizers; both take them from `headparse.differential.lineup`: td is
+skipped on head-recursive grammars, and hc/phi/ehi/hi also run on cyclic
+ones.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import asdict, dataclass
 from typing import Optional
 
 from . import differential, engine, oracle
-from .corpus import all_inputs, eligible, head_grammar_corpus
+from .corpus import all_inputs, head_grammar_corpus
 from .differential import FLAT_BUILDERS
 from .grammar import GrammarError, augment, file_safe_grammar, format_hg, parse_hg
 from .recognizer_ghi import build_ghi
@@ -97,6 +99,7 @@ def _stats_dict(stats: engine.RunStats) -> dict:
         "consulted_positions": sorted(stats.consulted_positions),
         "duplicates_pruned": stats.duplicates_pruned,
         "limit_hit": stats.limit_hit,
+        "limit_kind": stats.limit_kind,
     }
 
 
@@ -206,7 +209,6 @@ def cmd_compare(args) -> int:
         return _compare_random(args)
     grammar = _load_grammar(args.grammar)
     tokens = _tokens(args)
-    td_skipped = False
     if args.algorithms is not None:
         algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
         if not algorithms:
@@ -214,20 +216,19 @@ def cmd_compare(args) -> int:
         for name in algorithms:
             if name not in ALGORITHMS:
                 raise UsageError("unknown algorithm %r" % name)
-    elif isinstance(grammar, GenHeadGrammar):
-        algorithms = ["ghi"]
+        automata = [(name, _automaton_for(name, grammar, args.embed))
+                    for name in algorithms]
+        skipped = []
     else:
-        # td's stack grows to the depth bound on a head-recursive grammar
-        td_skipped = not eligible(augment(grammar), "td")
-        algorithms = [name for name in FLAT_BUILDERS
-                      if not (td_skipped and name == "td")]
+        lineup = differential.lineup(grammar)
+        automata = [(name, automaton) for name, automaton, _ in lineup.automata]
+        skipped = lineup.skipped
     limits = _run_limits(args)
-    rows = [(name, engine.run(_automaton_for(name, grammar, args.embed), tokens,
-                              exhaustive=args.exhaustive, **limits))
-            for name in algorithms]
+    rows = [(name, engine.run(automaton, tokens, exhaustive=args.exhaustive, **limits))
+            for name, automaton in automata]
     _print_table(rows)
-    if td_skipped:
-        print("td skipped: grammar is head-recursive")
+    for name in skipped:
+        print("%s skipped: grammar is head-recursive" % name)
     verdicts = {r.verdict for _, r in rows if r.verdict is not engine.Verdict.RESOURCE_LIMIT}
     if len(verdicts) > 1:
         print("error: verdicts disagree", file=sys.stderr)

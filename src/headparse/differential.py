@@ -1,8 +1,9 @@
 """Differential check of every recognizer against the oracle.
 
 This module holds the one policy for which recognizer runs on which
-grammar; the acceptance gate and `headparse compare --random` both call
-`check`.
+grammar, `lineup`: the acceptance gate and `headparse compare --random`
+call it through `check`, and `headparse compare --grammar` without
+`--algorithms` calls it directly.
 """
 
 from __future__ import annotations
@@ -27,6 +28,35 @@ FLAT_BUILDERS = {
 }
 
 
+class Lineup(NamedTuple):
+    automata: list  # (name, automaton, whether it is eligible), in table order
+    skipped: list  # names left out: td on a head-recursive grammar
+
+
+def lineup(grammar) -> Lineup:
+    """The recognizers that run on `grammar` by default, and which of them
+    are eligible: guaranteed loop-free, so their runs must end in a
+    verdict.
+
+    A plain head grammar gets td, hc, phi, ehi and hi. td is left out where
+    the grammar is head-recursive, since its stack then grows until the
+    depth bound stops it; the others also run where it is cyclic, but are
+    not eligible there. A generalized head grammar gets ghi, eligible
+    unless its flattening is cyclic.
+    """
+    if isinstance(grammar, GenHeadGrammar):
+        return Lineup([("ghi", build_ghi(grammar), gen_eligible(grammar))], [])
+    aug = augment(grammar)
+    automata, skipped = [], []
+    for name, builder in FLAT_BUILDERS.items():
+        is_eligible = eligible(aug, name)
+        if name == "td" and not is_eligible:
+            skipped.append(name)
+        else:
+            automata.append((name, builder(aug), is_eligible))
+    return Lineup(automata, skipped)
+
+
 class Outcome(NamedTuple):
     grammar: int  # index into the corpus
     algorithm: str
@@ -46,26 +76,16 @@ class Differential:
 
 
 def check(corpus, inputs, **bounds) -> Differential:
-    """Run recognizers on every input of every `(grammar, language)` pair of
-    the corpus and compare each completed verdict with membership in
+    """Run the `lineup` of each grammar of the corpus on every input and
+    compare each completed verdict with membership in the grammar's
     `language`; `bounds` (`max_steps`, `max_depth`) go to `engine.run`.
-
-    A plain head grammar gets td, hc, phi, ehi and hi. td is skipped where
-    the grammar is head-recursive, since its stack then grows without
-    bound; the others also run where it is cyclic, as opportunistic runs.
-    A generalized head grammar gets ghi, opportunistic where its flattening
-    is cyclic. A resource limit is counted, never reported as a mismatch.
+    Runs of recognizers that are not eligible count as opportunistic. A
+    resource limit is counted, never reported as a mismatch.
     """
     out = Differential()
     for index, (grammar, language) in enumerate(corpus):
-        if isinstance(grammar, GenHeadGrammar):
-            automata = [("ghi", build_ghi(grammar), gen_eligible(grammar))]
-        else:
-            aug = augment(grammar)
-            automata = [(name, builder(aug), eligible(aug, name))
-                        for name, builder in FLAT_BUILDERS.items()
-                        if name != "td" or eligible(aug, "td")]
-            out.skipped += len(FLAT_BUILDERS) - len(automata)
+        automata, skipped = lineup(grammar)
+        out.skipped += len(skipped)
         for tokens in inputs:
             expected = tokens in language
             for name, automaton, is_eligible in automata:

@@ -13,15 +13,23 @@ infinite searches into either pruned duplicates or a distinct
 resource-limit verdict; they never affect accept/reject outcomes on
 searches that terminate.
 
-Every clause reads at most the top `Automaton.reach` items of a stack,
-its *window*, so the steps a stack allows are a function of its window
-and the input.  A run therefore keeps a table from window to steps: the
-matchers run once per distinct window, and every later stack with that
-window replays the recorded steps in the same order.  A window's steps
-are recorded as the search pulls them and stored only once all are
+Every clause reads at most the top `Automaton.reach(top)` items of a
+stack, its *window*, where `top` is the stack's top item.  As in an LR
+parser, the state on top tells how deep a step reads: a reduction reads
+as many entries as the finished rule has members, every other step reads
+the top alone.  The steps a stack allows are therefore a function of its
+window and the input, and a run keeps a table of them keyed by the top
+item first.  A top whose window is the top alone maps straight to its
+steps; any other top maps to its reach, and the steps of its windows sit
+in a second table keyed by window.  So a stack whose top was met before
+costs one item's hash, and `reach` runs only on a top with no entry yet.
+The matchers run once per distinct window, and every later stack with
+that window replays the recorded steps in the same order.  A window's
+steps are recorded as the search pulls them and stored only once all are
 pulled, so a search that accepts early never computes steps it does not
-take.  The table lives for one run; it is the transition relation of the
-automaton on that input, restricted to the windows the search reached.
+take.  The tables live for one run; they are the transition relation of
+the automaton on that input, restricted to the windows the search
+reached.
 
 Items carry the -1-based input positions used throughout this toolkit
 directly (the bottom marker occupies the span (-1, 0]), with no internal
@@ -63,8 +71,11 @@ class Clause:
     ``(matched, replacement, consulted)`` where `matched` is how many top
     items the instance consumes, `replacement` the items pushed in their
     place (bottom to top), and `consulted` the input position a scanning
-    step read, or None.  `window` is the top `Automaton.reach` items of the
-    stack (fewer on a shorter stack), and a matcher reads nothing else.
+    step read, or None.  `window` is the top `Automaton.reach(top)` items
+    of the stack (fewer on a shorter stack), where `top` is the stack's
+    top item, and a matcher reads nothing else: on a top whose reach does
+    not cover the items a clause would read below it, the clause finds
+    nothing.
 
     `top` and `below`, when given, are the item types the clause needs on
     top of the window and right below it; the engine does not call the
@@ -93,8 +104,9 @@ class Automaton:
     # item's set, so it accepts on [init, item-containing-fin]).
     make_accepting: Optional[Callable] = None
     collapse_rows: Optional[Callable] = None
-    # How many top items the clauses may read; see `Clause`.
-    reach: int = 2
+    # `reach(top)`: how many top items the clauses read when `top` is the
+    # top item; see `Clause`.  Every builder states its own rule.
+    reach: Callable = field(kw_only=True)
     # (type below the top or None, type of the top) -> the clauses that
     # may apply, in order, filled from `clauses` as windows are met; None
     # when no clause declares a type.  `__post_init__` makes it afresh, so
@@ -148,6 +160,9 @@ class RunStats:
     consulted_positions: frozenset = frozenset()
     duplicates_pruned: int = 0
     limit_hit: bool = False
+    # "steps" when the step bound ended the search, "depth" when only the
+    # depth bound cut stacks off, else None
+    limit_kind: Optional[str] = None
 
 
 @dataclass
@@ -170,8 +185,9 @@ def _successors(clauses, stack, ctx):
             yield clause.label, matched, replacement, consulted
 
 
-def _recorded(clauses, window, ctx, table):
-    """The window's steps; once all are pulled they are stored in `table`."""
+def _recorded(clauses, window, ctx, table, key):
+    """The window's steps; once all are pulled they are stored as
+    `table[key]`."""
     steps = []
     for clause in clauses:
         label = clause.label
@@ -179,7 +195,7 @@ def _recorded(clauses, window, ctx, table):
             step = (label, matched, replacement, consulted)
             steps.append(step)
             yield step
-    table[window] = steps
+    table[key] = steps
 
 
 def run(automaton: Automaton, tokens, *, max_steps: int = 1_000_000,
@@ -199,19 +215,43 @@ def run(automaton: Automaton, tokens, *, max_steps: int = 1_000_000,
         max_depth = default_max_depth(n, automaton.size_hint)
     accepting = automaton.accepting_predicate(n)
     reach = automaton.reach
+    clauses_for = automaton.clauses_for
     start = (automaton.make_init(n),)
 
     # Every stack reached maps to its link (stack, clause label, link of
     # the parent stack), the start to None; the first path to reach a
     # stack is the one its trace follows; the same map is the visited set.
     parents = {start: None}
-    table = {}  # window -> its steps, once a search has pulled them all
+    # top item -> its steps, once a search has pulled them all, when the
+    # top alone is its window; else top -> its reach, and the steps of its
+    # windows are in `windows`
+    table = {}
+    windows = {}  # window of more than one item -> its steps, likewise
+
+    def pull(stack):
+        """The stack's steps, replayed from the tables or recorded as they
+        are pulled; None when the tables show it has none."""
+        top = stack[-1]
+        entry = table.get(top)
+        if type(entry) is list:
+            return iter(entry) if entry else None
+        if entry is None:
+            entry = reach(top)
+            if entry == 1:
+                window = stack[-1:]
+                return _recorded(clauses_for(window), window, ctx, table, top)
+            table[top] = entry
+        window = stack[-entry:]
+        steps = windows.get(window)
+        if steps is None:
+            return _recorded(clauses_for(window), window, ctx, windows, window)
+        return iter(steps) if steps else None
 
     explored = 1
     applications = 0
     deepest = 1
     duplicates = 0
-    limit_hit = False
+    limit_kind = None
     accepted = accepting(start)
     accept_link = None
     accept_consulted = frozenset()
@@ -219,11 +259,8 @@ def run(automaton: Automaton, tokens, *, max_steps: int = 1_000_000,
     # equal belong to equal sets, so it does not depend on search order
     widest = frozenset()
 
-    clauses_for = automaton.clauses_for
-    window = start[-reach:]
     # agenda entries: (stack, consulted set, its steps, its link)
-    agenda = [(start, frozenset(),
-               _recorded(clauses_for(window), window, ctx, table), None)]
+    agenda = [(start, frozenset(), pull(start) or iter(()), None)]
     while agenda:
         cfg, base, successors, link = agenda[-1]
         step = next(successors, None)
@@ -233,11 +270,11 @@ def run(automaton: Automaton, tokens, *, max_steps: int = 1_000_000,
         label, matched, replacement, pos = step
         applications += 1
         if applications > max_steps:
-            limit_hit = True
+            limit_kind = "steps"
             break
         new_cfg = cfg[:len(cfg) - matched] + replacement
         if len(new_cfg) > max_depth:
-            limit_hit = True
+            limit_kind = "depth"
             continue
         new_link = (new_cfg, label, link)
         # one lookup both tests for and records the stack
@@ -259,20 +296,15 @@ def run(automaton: Automaton, tokens, *, max_steps: int = 1_000_000,
             accept_consulted = new_consulted
             if not exhaustive:
                 break
-        window = new_cfg[-reach:]
-        steps = table.get(window)
-        if steps is None:
-            agenda.append((new_cfg, new_consulted,
-                           _recorded(clauses_for(window), window, ctx, table),
-                           new_link))
-        elif steps:
-            agenda.append((new_cfg, new_consulted, iter(steps), new_link))
+        successors = pull(new_cfg)
+        if successors is not None:
+            agenda.append((new_cfg, new_consulted, successors, new_link))
 
     if accepted:
         verdict = Verdict.ACCEPT
         final_consulted = accept_consulted
     else:
-        verdict = Verdict.RESOURCE_LIMIT if limit_hit else Verdict.REJECT
+        verdict = Verdict.REJECT if limit_kind is None else Verdict.RESOURCE_LIMIT
         final_consulted = widest
     stats = RunStats(
         configurations_explored=explored,
@@ -280,7 +312,8 @@ def run(automaton: Automaton, tokens, *, max_steps: int = 1_000_000,
         max_stack_depth=deepest,
         consulted_positions=final_consulted,
         duplicates_pruned=duplicates,
-        limit_hit=limit_hit,
+        limit_hit=limit_kind is not None,
+        limit_kind=limit_kind,
     )
     trace = _build_trace(start, accept_link) if accepted else None
     return RunResult(verdict, stats, trace)
@@ -318,7 +351,8 @@ def replay(automaton: Automaton, tokens, trace: Trace) -> bool:
         matcher = matchers.get(step.label)
         if matcher is None or not any(
                 cur[:len(cur) - matched] + replacement == step.stack
-                for matched, replacement, _ in matcher(cur[-automaton.reach:], ctx)):
+                for matched, replacement, _ in matcher(
+                    cur[-automaton.reach(cur[-1]):], ctx)):
             return False
         cur = step.stack
     return automaton.accepting_predicate(ctx.n)(cur)

@@ -319,6 +319,10 @@ def build_ghi(g: GenHeadGrammar) -> Automaton:
                 idx += 1
         return rows
 
+    def reach(top):
+        # only 4a..7b read below the top, and they need a done item on top
+        return 2 if type(top) is DoneItem else 1
+
     return Automaton("ghi", clauses, make_init, make_fin, render_item,
                      (len(g.rules) + 1, len(g.nonterminals) + 1),
-                     collapse_rows=collapse_rows)
+                     collapse_rows=collapse_rows, reach=reach)

@@ -243,8 +243,14 @@ def build_hi(aug: AugmentedGrammar) -> Automaton:
         Clause("4a", reduce_side(True, advance=True)),
         Clause("4b", reduce_side(False, advance=True)),
     )
-    # a reduction reads the rule's members and the context item below them
+    @cache
+    def reach_of(q):
+        # a reduction reads the rule's members and the context item below
+        # them; every other clause reads the top alone
+        return 1 + max((len(rules[rid].rhs) for rid, ld, rd in q
+                        if ld == 0 and rd == len(rules[rid].rhs)), default=0)
+
     return Automaton("hi", clauses, make_init, make_fin, _render_hi(aug),
                      (len(rules), len(aug.nonterminals)),
                      make_accepting=make_accepting,
-                     reach=1 + max(len(r.rhs) for r in rules))
+                     reach=lambda top: reach_of(top.q))

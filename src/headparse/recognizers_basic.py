@@ -158,6 +158,17 @@ def _make_attach(aug, rightward):
     return matcher
 
 
+def _dotted_reach(aug):
+    """`Automaton.reach` of td and hc: only a finished rule on top lets a
+    clause (3, 3a/3b, 4a/4b) read the item below it."""
+    sizes = tuple(len(r.rhs) for r in aug.rules)
+
+    def reach(top):
+        finished = type(top) is Dotted and top.ld == 0 and top.rd == sizes[top.rule]
+        return 2 if finished else 1
+    return reach
+
+
 def _dotted_head(aug, rid, i, k, m, j):
     r = aug.rules[rid]
     return Dotted(i, k, rid, r.head, r.head + 1, m, j)
@@ -247,7 +258,7 @@ def build_td(aug: AugmentedGrammar) -> Automaton:
         Clause("4b", _make_attach(aug, False), top=Dotted, below=Dotted),
     )
     return Automaton("td", clauses, make_init, make_fin, _render_td(aug),
-                     (len(aug.rules), len(nts)))
+                     (len(aug.rules), len(nts)), reach=_dotted_reach(aug))
 
 
 # ------------------------------------------------------------------ HC
@@ -319,7 +330,7 @@ def build_hc(aug: AugmentedGrammar, hc: frozenset = None) -> Automaton:
         Clause("4b", _make_attach(aug, False)),
     )
     return Automaton("hc", clauses, make_init, make_fin, _render_td(aug),
-                     (len(aug.rules), len(nts)))
+                     (len(aug.rules), len(nts)), reach=_dotted_reach(aug))
 
 
 # ------------------------------------------------------------------ infix index
@@ -424,6 +435,12 @@ def _build_infix(aug, hc, name, merge_lhs):
         """Members of `delta` that have `gamma` as a whole right-hand side."""
         lhs = index.complete.get(item.gamma)
         return sorted(item.delta & lhs) if lhs else ()
+
+    def reach(top):
+        """Only a top with a completed member lets 3a/3b and 4a/4b read
+        the item below it."""
+        lhs = index.complete.get(top.gamma)
+        return 2 if lhs and not top.delta.isdisjoint(lhs) else 1
 
     def predict_scan_side(rightward):
         continuations = index.right_nt if rightward else index.left_nt
@@ -537,7 +554,7 @@ def _build_infix(aug, hc, name, merge_lhs):
     )
     render = _render_set_infix if merge_lhs else _render_infix
     return Automaton(name, clauses, make_init, make_fin, render,
-                     (len(aug.rules), len(nts)))
+                     (len(aug.rules), len(nts)), reach=reach)
 
 
 def build_phi(aug: AugmentedGrammar, hc: frozenset = None) -> Automaton:

@@ -139,6 +139,16 @@ def test_json_report_round_trips(tiny_hg_path, capsys):
     assert data["stats"]["consulted_positions"] == [1, 2, 3]
 
 
+@pytest.mark.parametrize("bound, kind", [(None, None), ("--max-steps", "steps")])
+def test_json_stats_name_the_bound(bound, kind, tiny_hg_path, capsys):
+    argv = ["recognize", "--grammar", tiny_hg_path, "--algorithm", "td",
+            "--input", "c a b", "--json"]
+    code = main(argv + ([bound, "1"] if bound else []))
+    assert code == (EXIT_LIMIT if bound else EXIT_ACCEPT)
+    stats = json.loads(capsys.readouterr().out)["stats"]
+    assert (stats["limit_hit"], stats["limit_kind"]) == (bound is not None, kind)
+
+
 def test_transform_tau_head_output_reparses(demo_ghg_path, tmp_path, capsys):
     out_path = tmp_path / "flat.hg"
     code = main(["transform", "--tau-head", demo_ghg_path, "-o", str(out_path)])

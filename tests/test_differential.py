@@ -30,3 +30,19 @@ def test_check_skips_td_and_runs_loop_prone_grammars_opportunistically():
     assert data.skipped == 2  # td, on both flat grammars
     assert data.eligible_runs == 4 * len(INPUTS)
     assert data.opportunistic_runs == 5 * len(INPUTS)
+
+
+def test_lineup_is_the_default_policy():
+    flat = hg("S", ("S", "c *A b"), ("A", "*a"))
+    head_recursive = hg("S", ("S", "a *S"), ("S", "*b"))
+    cyclic = hg("S", ("S", "*S"), ("S", "*a"))
+
+    def names(grammar):
+        automata, skipped = differential.lineup(grammar)
+        return [(name, eligible) for name, _, eligible in automata], skipped
+    assert names(flat) == ([(n, True) for n in ("td", "hc", "phi", "ehi", "hi")], [])
+    assert names(head_recursive) == ([(n, True) for n in ("hc", "phi", "ehi", "hi")],
+                                     ["td"])
+    assert names(cyclic) == ([(n, False) for n in ("hc", "phi", "ehi", "hi")], ["td"])
+    assert names(embed(flat)) == ([("ghi", True)], [])
+    assert names(embed(cyclic)) == ([("ghi", False)], [])

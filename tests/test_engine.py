@@ -56,6 +56,20 @@ def test_resource_limit_verdict_on_tiny_step_budget():
     assert result.stats.limit_hit
 
 
+def test_limit_kind_names_the_bound():
+    # td's prediction stack grows without bound on a head-recursive grammar
+    auto = build_td(augment(hg("S", ("S", "*S a"), ("S", "*b"))))
+    depth = run(auto, ("a", "a"), max_depth=10)
+    assert depth.verdict is Verdict.RESOURCE_LIMIT
+    assert (depth.stats.limit_hit, depth.stats.limit_kind) == (True, "depth")
+    # the step bound ends the search even after the depth bound cut stacks
+    steps = run(auto, ("b", "a", "a"), max_depth=10, max_steps=50)
+    assert steps.verdict is Verdict.RESOURCE_LIMIT
+    assert (steps.stats.limit_hit, steps.stats.limit_kind) == (True, "steps")
+    clean = run(build_td(augment(hg("S", ("S", "*a")))), ("a",))
+    assert (clean.stats.limit_hit, clean.stats.limit_kind) == (False, None)
+
+
 def test_accepting_trace_replays(tiny_grammar):
     auto = build_td(augment(tiny_grammar))
     tokens = ("c", "a", "b")
@@ -197,11 +211,10 @@ def _steps(clauses, stack, ctx):
 
 
 def test_clauses_read_only_their_window():
-    # the steps of a stack are a function of its top `reach` items, which
-    # is what lets one run share them between stacks; the declared item
-    # types only skip clauses that would find nothing
-    assert build_hc(augment(LONG_RULES)).reach == 2
-    assert FLAT_BUILDERS["hi"](augment(LONG_RULES)).reach == 6
+    # the steps of a stack are a function of its top `reach(top)` items,
+    # which is what lets one run share them between stacks; the declared
+    # item types only skip clauses that would find nothing
+    deepest = {}
     checked = 0
     for automaton, inputs in _window_cases():
         for tokens in inputs:
@@ -210,12 +223,17 @@ def test_clauses_read_only_their_window():
             result = run(automaton, tokens, exhaustive=True)
             assert result.stats.configurations_explored == len(stacks)
             for stack in stacks:
-                window = stack[-automaton.reach:]
+                reach = automaton.reach(stack[-1])
+                window = stack[-reach:]
                 steps = _steps(automaton.clauses, window, ctx)
                 assert _steps(automaton.clauses, stack, ctx) == steps
                 assert _steps(automaton.clauses_for(window), window, ctx) == steps
+                deepest[automaton.name] = max(deepest.get(automaton.name, 0), reach)
                 checked += 1
     assert checked > 1000
+    # only a finished item reads below the top; hi's five-member rule in
+    # LONG_RULES reads six items
+    assert deepest == {"td": 2, "hc": 2, "phi": 2, "ehi": 2, "hi": 6, "ghi": 2}
 
 
 def test_undeclared_clauses_search_the_same_way():
@@ -231,10 +249,8 @@ def test_undeclared_clauses_search_the_same_way():
             assert plain.accepting_trace == declared.accepting_trace
 
 
-def test_matchers_run_once_per_distinct_window():
-    # S -> S *S | *a on a^8 reaches three times as many stacks as it has
-    # distinct top-two windows; every matcher runs at most once per window
-    automaton = build_hc(augment(hg("S", ("S", "S *S"), ("S", "*a"))))
+def _counted_run(automaton, tokens):
+    """An exhaustive run, and the window of every matcher call it made."""
     calls = []
 
     def counted(matcher):
@@ -245,9 +261,38 @@ def test_matchers_run_once_per_distinct_window():
     counting = dataclasses.replace(automaton, clauses=tuple(
         dataclasses.replace(c, matcher=counted(c.matcher))
         for c in automaton.clauses))
-    tokens = ("a",) * 8
     result = run(counting, tokens, exhaustive=True)
     assert result.stats == run(automaton, tokens, exhaustive=True).stats
-    windows = {stack[-automaton.reach:] for stack in explore(automaton, tokens).stacks}
+    return result, calls
+
+
+def _windows(automaton, stacks):
+    return {stack[-automaton.reach(stack[-1]):] for stack in stacks}
+
+
+AMBIGUOUS = hg("S", ("S", "S *S"), ("S", "*a"))
+
+
+def test_matchers_run_once_per_distinct_window():
+    # S -> S *S | *a on a^8 reaches three times as many stacks as it has
+    # distinct windows; every matcher runs at most once per window
+    automaton = build_hc(augment(AMBIGUOUS))
+    tokens = ("a",) * 8
+    result, calls = _counted_run(automaton, tokens)
+    windows = _windows(automaton, explore(automaton, tokens).stacks)
     assert result.stats.configurations_explored > 3 * len(windows)
     assert len(calls) <= len(automaton.clauses) * len(windows)
+
+
+def test_hi_windows_are_sized_by_the_top_item():
+    # hi's clauses read one item unless a rule is finished on top; keyed by
+    # a fixed window of 1 + its longest right-hand side (3 items here), its
+    # matchers would run on more than twice as many windows
+    automaton = FLAT_BUILDERS["hi"](augment(AMBIGUOUS))
+    tokens = ("a",) * 10
+    result, calls = _counted_run(automaton, tokens)
+    stacks = explore(automaton, tokens).stacks
+    windows = _windows(automaton, stacks)
+    fixed = {stack[-3:] for stack in stacks}
+    assert len(calls) <= len(automaton.clauses) * len(windows)
+    assert len(calls) < len(automaton.clauses) * len(fixed) / 2
