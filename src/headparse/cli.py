@@ -18,6 +18,7 @@ ones.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import random
 import sys
@@ -140,6 +141,14 @@ def _run_limits(args) -> dict:
     return {key: value for key, value in limits.items() if value is not None}
 
 
+def _write(text: str):
+    """Write `text` to stdout a buffer's worth at a time.  A single larger
+    write whose reader closes the pipe part way can return without an
+    error, losing the rest silently; smaller pieces raise it."""
+    for start in range(0, len(text), io.DEFAULT_BUFFER_SIZE):
+        sys.stdout.write(text[start:start + io.DEFAULT_BUFFER_SIZE])
+
+
 def cmd_recognize(args) -> int:
     grammar = _load_grammar(args.grammar)
     tokens = _tokens(args)
@@ -153,7 +162,7 @@ def cmd_recognize(args) -> int:
         if args.trace and args.json:
             trace_recs = engine.trace_records(automaton, trace)
         elif args.trace:
-            print(engine.render_trace_text(automaton, trace), end="")
+            _write(engine.render_trace_text(automaton, trace))
     report = RunReport(grammar=args.grammar, algorithm=args.algorithm,
                        input=list(tokens), verdict=result.verdict.value,
                        stats=_stats_dict(result.stats), trace=trace_recs)
@@ -187,7 +196,7 @@ def cmd_transform(args) -> int:
             print("error: cannot write %s: %s" % (args.output, exc), file=sys.stderr)
             return EXIT_ERROR
     else:
-        print(text, end="")
+        _write(text)
     return 0
 
 
@@ -322,7 +331,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command == "compare" and args.random is None and not args.grammar:
             raise UsageError("compare needs --grammar or --random N")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a write that fails fails here, not at exit
+        return code
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
@@ -332,6 +343,11 @@ def main(argv=None) -> int:
     except oracle.EnumerationLimitError as exc:
         print("error: language enumeration stopped: %s" % exc, file=sys.stderr)
         return EXIT_LIMIT
+    except OSError as exc:
+        # commands read files through `_load_grammar` and write `-o` files
+        # themselves, so an OSError that gets here is a failed write to stdout
+        print("error: cannot write stdout: %s" % exc, file=sys.stderr)
+        return EXIT_ERROR
     except Exception as exc:
         # a fault in headparse, not a verdict: never exit 0-5 for it
         print("internal error: %s: %s" % (type(exc).__name__, exc),

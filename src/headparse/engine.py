@@ -216,6 +216,9 @@ def run(automaton: Automaton, tokens, *, max_steps: int = 1_000_000,
     accepting = automaton.accepting_predicate(n)
     reach = automaton.reach
     clauses_for = automaton.clauses_for
+    # every clause may apply to every window when none declares an item
+    # type, so a table miss takes the whole tuple without a lookup
+    every = automaton.clauses if automaton._dispatch is None else None
     start = (automaton.make_init(n),)
 
     # Every stack reached maps to its link (stack, clause label, link of
@@ -239,12 +242,14 @@ def run(automaton: Automaton, tokens, *, max_steps: int = 1_000_000,
             entry = reach(top)
             if entry == 1:
                 window = stack[-1:]
-                return _recorded(clauses_for(window), window, ctx, table, top)
+                return _recorded(every or clauses_for(window),
+                                 window, ctx, table, top)
             table[top] = entry
         window = stack[-entry:]
         steps = windows.get(window)
         if steps is None:
-            return _recorded(clauses_for(window), window, ctx, windows, window)
+            return _recorded(every or clauses_for(window),
+                             window, ctx, windows, window)
         return iter(steps) if steps else None
 
     explored = 1
@@ -379,33 +384,77 @@ class _ItemTexts(dict):
         return text
 
 
-def _rendered_rows(automaton: Automaton, trace: Trace) -> list:
-    """(label, item texts) per display row, the initial stack first with
-    label None.
+def _shared_prefix(prev, stack) -> int:
+    """How many bottom items two stacks have in common.
 
-    Rows share all but their top few items, so the texts come from a memo
-    that lives for this call: a trace k deep renders O(k) distinct items
-    instead of O(k^2) stacked ones.  Keying the memo by item equality is
-    safe because `render_item` reads nothing but the item, and equal items
-    of one automaton have one class: its item classes differ in arity or
-    carry a `tag` field, so NamedTuples of two classes never compare equal.
+    The count falls from the shorter length one item at a time, comparing
+    whole prefixes, so nothing rests on how the two stacks came about.  The
+    Python-level work is one comparison per changed item of the shorter
+    stack, plus one; the items themselves are compared in C.
+    """
+    shared = min(len(prev), len(stack))
+    while prev[:shared] != stack[:shared]:
+        shared -= 1
+    return shared
+
+
+def _row_changes(automaton: Automaton, trace: Trace):
+    """(label, shared, new texts) per display row, the initial stack first
+    with label None: the row's stack keeps the first `shared` items of the
+    row before it, and `new texts` render the items above them.
+
+    So each row costs item work only for what changed, and the texts come
+    from a memo that lives for this call: a trace k deep renders O(k)
+    distinct items instead of O(k^2) stacked ones.  Keying the memo by
+    item equality is safe because `render_item` reads nothing but the
+    item, and equal items of one automaton have one class: its item
+    classes differ in arity or carry a `tag` field, so NamedTuples of two
+    classes never compare equal.
     """
     texts = _ItemTexts(automaton.render_item)
-    rows = [(None, trace.initial)] + trace_rows(automaton, trace)
-    return [(label, list(map(texts.__getitem__, stack))) for label, stack in rows]
+    prev = ()
+    for label, stack in [(None, trace.initial)] + trace_rows(automaton, trace):
+        shared = _shared_prefix(prev, stack)
+        yield label, shared, [texts[item] for item in stack[shared:]]
+        prev = stack
 
 
 def render_trace_text(automaton: Automaton, trace: Trace) -> str:
-    rendered = [(" ".join(texts), "" if label is None else label)
-                for label, texts in _rendered_rows(automaton, trace)]
-    width = max(len(s) for s, _ in rendered)
-    width = max(width, len("Stack"))
+    """The trace as a two-column table, one stack per row.
+
+    A row's text is the previous row's text up to where its shared items
+    end, plus the new items joined.  A first pass takes the column width
+    from the items' lengths alone, so the text is held at most twice: as
+    the padded lines and as their join.
+    """
+    rows = list(_row_changes(automaton, trace))
+    width = len("Stack")
+    cuts = []  # per row: where its shared items end in the previous text
+    ends = []  # where each item of the current row ends in its text
+    for _, shared, new in rows:
+        cuts.append(ends[shared - 1] if shared else 0)
+        del ends[shared:]
+        end = ends[-1] + 1 if ends else 0
+        for text in new:
+            end += len(text)
+            ends.append(end)
+            end += 1
+        if ends and ends[-1] > width:
+            width = ends[-1]
     lines = ["%-*s | %s" % (width, "Stack", "Clause")]
-    lines.extend("%-*s | %s" % (width, s, label) for s, label in rendered)
-    return "\n".join(lines) + "\n"
+    text = ""
+    for (label, shared, new), cut in zip(rows, cuts):
+        text = " ".join([text[:cut]] + new if shared else new)
+        lines.append("%-*s | %s" % (width, text, "" if label is None else label))
+    lines.append("")  # the join then ends with a newline, with no extra copy
+    return "\n".join(lines)
 
 
 def trace_records(automaton: Automaton, trace: Trace) -> list:
     """Structured trace: one record per display row."""
-    return [{"clause": label, "stack": texts}
-            for label, texts in _rendered_rows(automaton, trace)]
+    records = []
+    texts = []
+    for label, shared, new in _row_changes(automaton, trace):
+        texts = texts[:shared] + new
+        records.append({"clause": label, "stack": texts})
+    return records

@@ -53,6 +53,28 @@ def explore(automaton, tokens):
                     {consulted for _, consulted in states})
 
 
+def reference_trace_text(automaton, trace):
+    """The whole-row renderer `engine.render_trace_text` must match: each
+    row's stack rendered and joined afresh, one `"%-*s | %s"` per row."""
+    rendered = [(" ".join(map(automaton.render_item, stack)),
+                 "" if label is None else label)
+                for label, stack in _display_rows(automaton, trace)]
+    width = max(len("Stack"), *(len(s) for s, _ in rendered))
+    lines = ["%-*s | %s" % (width, "Stack", "Clause")]
+    lines.extend("%-*s | %s" % (width, s, label) for s, label in rendered)
+    return "\n".join(lines) + "\n"
+
+
+def reference_trace_records(automaton, trace):
+    """The records `engine.trace_records` must match, rendered row by row."""
+    return [{"clause": label, "stack": list(map(automaton.render_item, stack))}
+            for label, stack in _display_rows(automaton, trace)]
+
+
+def _display_rows(automaton, trace):
+    return [(None, trace.initial)] + engine.trace_rows(automaton, trace)
+
+
 def run_verdict(automaton, tokens, **kwargs):
     return engine.run(automaton, tokens, **kwargs).verdict
 

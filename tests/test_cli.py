@@ -1,9 +1,12 @@
 import json
+import os
 import runpy
+import subprocess
 import sys
 
 import pytest
 
+import headparse
 from headparse import cli, parse_hg
 from headparse.cli import (EXIT_ACCEPT, EXIT_ERROR, EXIT_INTERNAL, EXIT_LIMIT,
                            EXIT_REJECT, EXIT_USAGE, RunReport, main)
@@ -167,6 +170,27 @@ def test_transform_unwritable_output_exit_code(target, demo_ghg_path, tmp_path, 
     assert main(["transform", "--tau-head", demo_ghg_path, "-o", str(out)]) == EXIT_ERROR
     err = capsys.readouterr().err
     assert err.startswith("error: cannot write %s: " % out) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("form", [["--trace"], ["--trace", "--json"]])
+def test_closed_stdout_is_a_write_error(form, tmp_path):
+    # a reader that stops early closes the pipe: the write fails, and that is
+    # exit 3 with one error line, not an internal error or a silent cut
+    grammar = tmp_path / "center.hg"
+    grammar.write_text("start S\nS -> *a S b\nS -> *c\n", encoding="utf-8")
+    tokens = " ".join(["a"] * 150 + ["c"] + ["b"] * 150)
+    src = os.path.dirname(os.path.dirname(headparse.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "headparse", "recognize", "--grammar", str(grammar),
+         "--algorithm", "hc", "--input", tokens] + form,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_ERROR
+    assert err.startswith("error: cannot write stdout: ") and err.count("\n") == 1
 
 
 def test_transform_tau_two_stdout(tiny_hg_path, capsys):
