@@ -22,8 +22,7 @@ import io
 import json
 import random
 import sys
-from dataclasses import asdict, dataclass
-from typing import Optional
+from dataclasses import asdict
 
 from . import differential, engine, oracle
 from .corpus import all_inputs, head_grammar_corpus
@@ -69,39 +68,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError("must be a positive integer: %d" % value)
     return value
-
-
-@dataclass
-class RunReport:
-    """Losslessly serializable record of one recognition run."""
-
-    grammar: str
-    algorithm: str
-    input: list
-    verdict: str
-    stats: dict
-    trace: Optional[list] = None
-
-    def to_dict(self):
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(grammar=data["grammar"], algorithm=data["algorithm"],
-                   input=list(data["input"]), verdict=data["verdict"],
-                   stats=dict(data["stats"]), trace=data["trace"])
-
-
-def _stats_dict(stats: engine.RunStats) -> dict:
-    return {
-        "configurations_explored": stats.configurations_explored,
-        "clause_applications": stats.clause_applications,
-        "max_stack_depth": stats.max_stack_depth,
-        "consulted_positions": sorted(stats.consulted_positions),
-        "duplicates_pruned": stats.duplicates_pruned,
-        "limit_hit": stats.limit_hit,
-        "limit_kind": stats.limit_kind,
-    }
 
 
 def _load_grammar(path: str):
@@ -163,11 +129,14 @@ def cmd_recognize(args) -> int:
             trace_recs = engine.trace_records(automaton, trace)
         elif args.trace:
             _write(engine.render_trace_text(automaton, trace))
-    report = RunReport(grammar=args.grammar, algorithm=args.algorithm,
-                       input=list(tokens), verdict=result.verdict.value,
-                       stats=_stats_dict(result.stats), trace=trace_recs)
     if args.json:
-        print(json.dumps(report.to_dict(), indent=2, ensure_ascii=False))
+        stats = result.stats
+        report = {"grammar": args.grammar, "algorithm": args.algorithm,
+                  "input": list(tokens), "verdict": result.verdict.value,
+                  "stats": dict(asdict(stats), consulted_positions=sorted(
+                      stats.consulted_positions)),
+                  "trace": trace_recs}
+        print(json.dumps(report, indent=2, ensure_ascii=False))
     elif not (args.trace and result.verdict is engine.Verdict.ACCEPT):
         print("%s: %s" % (args.algorithm, result.verdict.value))
     return _EXIT_BY_VERDICT[result.verdict]
@@ -302,15 +271,16 @@ def build_parser() -> argparse.ArgumentParser:
     tra.set_defaults(func=cmd_transform)
 
     cmp_ = sub.add_parser("compare", help="run several recognizers and tabulate stats")
-    cmp_.add_argument("--grammar")
+    source = cmp_.add_mutually_exclusive_group(required=True)
+    source.add_argument("--grammar")
+    source.add_argument("--random", type=_positive_int, metavar="N",
+                        help="differential batch over N seeded random grammars")
     cmp_.add_argument("--input", default="")
     cmp_.add_argument("--chars", action="store_true")
     cmp_.add_argument("--embed", action="store_true")
     cmp_.add_argument("--algorithms", help="comma-separated subset of: %s" % ",".join(ALGORITHMS))
     cmp_.add_argument("--exhaustive", action="store_true",
                       help="explore the whole space even after accepting")
-    cmp_.add_argument("--random", type=_positive_int, metavar="N",
-                      help="differential batch over N seeded random grammars")
     cmp_.add_argument("--max-len", type=_positive_int, default=4,
                       help="input length bound for --random")
     cmp_.add_argument("--seed", type=int)
@@ -329,8 +299,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "compare" and args.random is None and not args.grammar:
-            raise UsageError("compare needs --grammar or --random N")
         code = args.func(args)
         sys.stdout.flush()  # a write that fails fails here, not at exit
         return code

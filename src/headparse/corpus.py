@@ -64,8 +64,8 @@ def gen_grammar_corpus(count: int, seed: int) -> list:
     return [random_gen_grammar(rng) for _ in range(count)]
 
 
-def all_inputs(alphabet, max_len: int, include_empty: bool = True) -> list:
-    out = [()] if include_empty else []
+def all_inputs(alphabet, max_len: int) -> list:
+    out = [()]
     for size in range(1, max_len + 1):
         out.extend(itertools.product(alphabet, repeat=size))
     return out

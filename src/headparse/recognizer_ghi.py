@@ -159,6 +159,7 @@ def yld(item) -> tuple:
 
 def build_ghi(g: GenHeadGrammar) -> Automaton:
     start_prime, bottom = fresh_markers(g.symbols)
+    nts = g.nonterminals
     start_rule = GenHeadRule(start_prime, Tree(bottom, None, Tree(g.start)))
 
     rule_order = {r: idx for idx, r in enumerate(g.rules)}
@@ -226,7 +227,10 @@ def build_ghi(g: GenHeadGrammar) -> Automaton:
             base = side_set[rightward](top.q)
             lo, hi = (top.m, top.j) if rightward else (top.i, top.k)
             for p in range(lo + 1, hi + 1):
-                q2 = goto_sym(base, ctx.tokens[p - 1])
+                a = ctx.tokens[p - 1]
+                if a in nts:  # a token that spells a nonterminal matches nothing
+                    continue
+                q2 = goto_sym(base, a)
                 if q2:
                     yield 1, (top, FullItem(lo, p - 1, q2, p, hi)), p
         return Clause(label, matcher, top=shape)

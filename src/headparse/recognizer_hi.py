@@ -124,6 +124,7 @@ def _render_hi(aug):
 def build_hi(aug: AugmentedGrammar) -> Automaton:
     rels = compute_relations(aug)
     rules = aug.rules
+    nts = aug.nonterminals
 
     def transition(goto):
         # With the grammar fixed a goto is a function of (state, symbol)
@@ -168,7 +169,10 @@ def build_hi(aug: AugmentedGrammar) -> Automaton:
                 lo, hi = top.i, top.k
                 positions = range(top.i + 1, top.k)
             for p in positions:
-                q2 = goto(top.q, ctx.tokens[p - 1])
+                a = ctx.tokens[p - 1]
+                if a in nts:  # a token that spells a nonterminal matches nothing
+                    continue
+                q2 = goto(top.q, a)
                 if q2:
                     yield 1, (top, HiItem(lo, p - 1, q2, p, hi)), p
         return matcher
@@ -179,12 +183,12 @@ def build_hi(aug: AugmentedGrammar) -> Automaton:
         def matcher(stack, ctx):
             top = stack[-1]
             if rightward:
-                if top.m < top.j:
+                if top.m < top.j and ctx.tokens[top.m] not in nts:
                     q2 = goto(top.q, ctx.tokens[top.m])
                     if q2:
                         yield 1, (top, HiItem(top.i, top.k, q2, top.m + 1, top.j)), top.m + 1
             else:
-                if top.i < top.k:
+                if top.i < top.k and ctx.tokens[top.k - 1] not in nts:
                     q2 = goto(top.q, ctx.tokens[top.k - 1])
                     if q2:
                         yield 1, (top, HiItem(top.i, top.k - 1, q2, top.m, top.j)), top.k

@@ -263,9 +263,9 @@ def build_td(aug: AugmentedGrammar) -> Automaton:
 
 # ------------------------------------------------------------------ HC
 
-def build_hc(aug: AugmentedGrammar, hc: frozenset = None) -> Automaton:
+def build_hc(aug: AugmentedGrammar) -> Automaton:
     """Head-corner recognizer: prediction gated by the head-corner relation."""
-    pairs = head_corner(aug, FULL) if hc is None else hc
+    pairs = head_corner(aug, FULL)
     nts = aug.nonterminals
     t_heads = aug.rules_with_terminal_head
     nt_heads = aug.rules_with_nonterminal_head
@@ -279,8 +279,6 @@ def build_hc(aug: AugmentedGrammar, hc: frozenset = None) -> Automaton:
     def new_head_side(rightward):
         def matcher(stack, ctx):
             top = stack[-1]
-            if type(top) is not Dotted:
-                return
             b = _pending(aug, top, rightward)
             if b is None or b not in nts:
                 return
@@ -298,8 +296,6 @@ def build_hc(aug: AugmentedGrammar, hc: frozenset = None) -> Automaton:
                 return
             top = stack[-1]
             below = stack[-2]
-            if type(top) is not Dotted or type(below) is not Dotted:
-                return
             if not _complete(aug, top):
                 return
             pending = _pending(aug, below, rightward)
@@ -351,7 +347,6 @@ class InfixIndex:
         right_nt = {}
         left_nt = {}
         complete = {}
-        valid = set()
         for r in aug.rules:
             rhs = r.rhs
             size = len(rhs)
@@ -359,7 +354,6 @@ class InfixIndex:
                 for e in range(r.head + 1, size + 1):
                     gamma = rhs[s:e]
                     key = (r.lhs, gamma)
-                    valid.add(key)
                     if e < size:
                         nxt = rhs[e]
                         right_ext.add((r.lhs, gamma, nxt))
@@ -377,7 +371,6 @@ class InfixIndex:
         self.right_nt = {k: frozenset(v) for k, v in right_nt.items()}
         self.left_nt = {k: frozenset(v) for k, v in left_nt.items()}
         self.complete = {k: frozenset(v) for k, v in complete.items()}
-        self.valid = frozenset(valid)
 
 
 def _distinct_lhs(rule_map, aug):
@@ -395,11 +388,11 @@ def _distinct_lhs(rule_map, aug):
 
 # ------------------------------------------------------------- PHI and EHI
 
-def _build_infix(aug, hc, name, merge_lhs):
+def _build_infix(aug, name, merge_lhs):
     """Infix recognizer over `SetInfix` items.  Each step computes the
     left-hand sides that survive it; EHI keeps them as one item, PHI splits
     them into one single-member item each, in the same order."""
-    pairs = head_corner(aug, FULL) if hc is None else hc
+    pairs = head_corner(aug, FULL)
     nts = aug.nonterminals
     index = InfixIndex(aug)
     term_lhs = _distinct_lhs(aug.rules_with_terminal_head, aug)
@@ -557,13 +550,13 @@ def _build_infix(aug, hc, name, merge_lhs):
                      (len(aug.rules), len(nts)), reach=reach)
 
 
-def build_phi(aug: AugmentedGrammar, hc: frozenset = None) -> Automaton:
+def build_phi(aug: AugmentedGrammar) -> Automaton:
     """Predictive head-inward recognizer: items carry the recognized infix
     only, so rules of one nonterminal sharing an infix are merged."""
-    return _build_infix(aug, hc, "phi", merge_lhs=False)
+    return _build_infix(aug, "phi", merge_lhs=False)
 
 
-def build_ehi(aug: AugmentedGrammar, hc: frozenset = None) -> Automaton:
+def build_ehi(aug: AugmentedGrammar) -> Automaton:
     """Extended head-inward recognizer: like PHI, with a set of left-hand
     sides per item so common infixes merge across nonterminals."""
-    return _build_infix(aug, hc, "ehi", merge_lhs=True)
+    return _build_infix(aug, "ehi", merge_lhs=True)

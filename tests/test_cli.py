@@ -7,9 +7,9 @@ import sys
 import pytest
 
 import headparse
-from headparse import cli, parse_hg
-from headparse.cli import (EXIT_ACCEPT, EXIT_ERROR, EXIT_INTERNAL, EXIT_LIMIT,
-                           EXIT_REJECT, EXIT_USAGE, RunReport, main)
+from headparse import augment, build_hc, cli, differential, parse_hg
+from headparse.cli import (EXIT_ACCEPT, EXIT_DISAGREE, EXIT_ERROR, EXIT_INTERNAL,
+                           EXIT_LIMIT, EXIT_REJECT, EXIT_USAGE, main)
 from headparse.oracle import enumerate_language
 from conftest import DEEP_GHG, DEMO_GHG
 
@@ -129,17 +129,27 @@ def test_unknown_extension_is_usage_error(tmp_path):
     assert code == EXIT_USAGE
 
 
-def test_json_report_round_trips(tiny_hg_path, capsys):
-    code = main(["recognize", "--grammar", tiny_hg_path, "--algorithm", "hi",
-                 "--input", "c a b", "--json", "--trace"])
-    assert code == EXIT_ACCEPT
+def test_json_report_document(tiny_hg_path, capsys):
+    argv = ["recognize", "--grammar", tiny_hg_path, "--algorithm", "hi",
+            "--input", "c a b", "--json"]
+    assert main(argv + ["--trace"]) == EXIT_ACCEPT
     data = json.loads(capsys.readouterr().out)
-    report = RunReport.from_dict(data)
-    assert report.to_dict() == data
-    assert report.verdict == "accept"
-    assert report.input == ["c", "a", "b"]
-    assert report.trace is not None
+    assert list(data) == ["grammar", "algorithm", "input", "verdict", "stats", "trace"]
+    assert (data["grammar"], data["algorithm"]) == (tiny_hg_path, "hi")
+    assert data["input"] == ["c", "a", "b"]
+    assert data["verdict"] == "accept"
+    # the stats are `RunStats` field for field, consulted positions sorted
+    assert list(data["stats"]) == [
+        "configurations_explored", "clause_applications", "max_stack_depth",
+        "consulted_positions", "duplicates_pruned", "limit_hit", "limit_kind"]
     assert data["stats"]["consulted_positions"] == [1, 2, 3]
+    assert [row["clause"] for row in data["trace"]] == [
+        None, "1a", "3a", "2a", "2b", "4a"]
+    assert data["trace"][-1]["stack"] == ["[-1, -1, {S' -> • ⊥ • S}, 0, 3]",
+                                          "[-1, -1, {S' -> • ⊥ S •}, 3, 3]"]
+    # without --trace the key stays, empty
+    assert main(argv) == EXIT_ACCEPT
+    assert json.loads(capsys.readouterr().out)["trace"] is None
 
 
 @pytest.mark.parametrize("bound, kind", [(None, None), ("--max-steps", "steps")])
@@ -251,8 +261,34 @@ def test_compare_empty_algorithm_list_is_usage_error(algorithms, tiny_hg_path, c
     assert capsys.readouterr().out == ""
 
 
-def test_compare_requires_grammar_or_random():
+def test_compare_requires_grammar_or_random(tiny_hg_path, capsys):
     assert main(["compare", "--input", "a"]) == EXIT_USAGE
+    # the two exclude each other: --random would silently ignore the grammar
+    assert main(["compare", "--grammar", tiny_hg_path, "--random", "2"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not allowed with argument" in captured.err
+
+
+def test_compare_unknown_algorithm_is_usage_error(tiny_hg_path, capsys):
+    argv = ["compare", "--grammar", tiny_hg_path, "--algorithms", "td,xyz"]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage error: unknown algorithm 'xyz'" in captured.err
+
+
+def test_compare_disagreement_exit_code(tiny_hg_path, monkeypatch, capsys):
+    # an hc built for another grammar rejects what the others accept
+    other = augment(parse_hg("start S\nS -> *x\n"))
+    monkeypatch.setitem(differential.FLAT_BUILDERS, "hc", lambda aug: build_hc(other))
+    code = main(["compare", "--grammar", tiny_hg_path, "--input", "c a b"])
+    assert code == EXIT_DISAGREE
+    captured = capsys.readouterr()
+    rows = [line.split()[:2] for line in captured.out.splitlines()[1:]]
+    assert rows == [["td", "accept"], ["hc", "reject"], ["phi", "accept"],
+                    ["ehi", "accept"], ["hi", "accept"]]
+    assert captured.err == "error: verdicts disagree\n"
 
 
 def test_enumerate_deterministic_output(demo_ghg_path, capsys):

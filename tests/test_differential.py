@@ -1,5 +1,5 @@
 from headparse import Verdict, differential
-from headparse.corpus import all_inputs
+from headparse.corpus import all_inputs, head_grammar_corpus
 from headparse.oracle import enumerate_language
 from headparse.transform import embed
 from conftest import hg
@@ -46,3 +46,30 @@ def test_lineup_is_the_default_policy():
     assert names(cyclic) == ([(n, False) for n in ("hc", "phi", "ehi", "hi")], ["td"])
     assert names(embed(flat)) == ([("ghi", True)], [])
     assert names(embed(cyclic)) == ([("ghi", False)], [])
+
+
+def test_check_counts_resource_limits_of_both_kinds(tiny_grammar):
+    # one step is too few for any verdict on "c a b"; every run counts as a
+    # limit, and only the eligible ones, on the acyclic grammar, as hits
+    cab = ("c", "a", "b")
+    cyclic = hg("S", ("S", "*S"), ("S", "*a"))
+    data = differential.check([(tiny_grammar, {cab}), (cyclic, set())], [cab],
+                              max_steps=1)
+    assert data.mismatches == []
+    assert data.limit_hits == [
+        differential.Outcome(0, name, cab, True, Verdict.RESOURCE_LIMIT)
+        for name in ("td", "hc", "phi", "ehi", "hi")]
+    assert (data.eligible_runs, data.opportunistic_runs, data.limits) == (5, 4, 9)
+
+
+def test_tokens_spelling_a_nonterminal_match_nothing():
+    # an input token that spells a nonterminal is a token like any other: on
+    # S -> *A b, A -> *a the input "A b" is rejected by every recognizer
+    runs = 0
+    for g in head_grammar_corpus(30, seed=11):
+        language = enumerate_language(g, 3)
+        inputs = all_inputs(("a", "b") + tuple(sorted(g.nonterminals)), 3)
+        data = differential.check([(g, language), (embed(g), language)], inputs)
+        assert data.mismatches == []
+        runs += data.eligible_runs + data.opportunistic_runs
+    assert runs == 677 + 5 * 2494  # td where not head-recursive, the rest always

@@ -127,6 +127,9 @@ def test_parse_ghg_reports_positions():
     ("  S ->", "empty right-hand side", 3),
     ("A B -> (a)", "expected '<Lhs> -> <tree>'", 1),
     ("  -> (a)", "expected '<Lhs> -> <tree>'", 3),
+    ("S -> (", "unterminated tree", 6),
+    ("S -> ((a))", "expected symbol", 7),
+    ("S -> (s (a) (b) (c))", "expected ')'", 17),
 ])
 def test_parse_ghg_error_columns_count_from_line_start(line, message, column):
     with pytest.raises(GrammarFormatError) as err:

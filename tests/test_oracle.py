@@ -6,6 +6,7 @@ from headparse.oracle import (EnumerationLimitError, SubsequenceVerdict,
                               check_subsequence_property, enumerate_language,
                               enumerate_report, is_subsequence, recognize,
                               useless_symbols)
+from headparse import recognizers_basic
 from headparse.recognizers_basic import build_hc
 from conftest import explore, hg
 
@@ -89,13 +90,14 @@ def test_subsequence_property_on_failed_run(tiny_grammar):
         assert verdict is SubsequenceVerdict.HOLDS
 
 
-def test_subsequence_property_flags_broken_recognizer(tiny_grammar):
+def test_subsequence_property_flags_broken_recognizer(tiny_grammar, monkeypatch):
     # dropping the head-corner gate lets the recognizer consult positions no
     # language string can justify; the checker must notice
     g = hg("S", ("S", "c *A b"), ("A", "*a"), ("D", "*d"))
     aug = augment(g)
     everything = frozenset((b, a) for b in aug.nonterminals for a in aug.nonterminals)
-    broken = build_hc(aug, hc=everything)
+    monkeypatch.setattr(recognizers_basic, "head_corner", lambda aug, variant: everything)
+    broken = build_hc(aug)
     tokens = ("c", "a", "d")
     verdicts = {check_subsequence_property(g, tokens, consulted)
                 for consulted in explore(broken, tokens).consulted}

@@ -51,10 +51,15 @@ def test_hc_items_well_formed():
                 _check_dotted(aug, n, item)
 
 
+def _head_infixes(aug):
+    """(left-hand side, head-containing infix) of every rule."""
+    return {(r.lhs, r.rhs[s:e]) for r in aug.rules
+            for s in range(r.head + 1) for e in range(r.head + 1, len(r.rhs) + 1)}
+
+
 def test_phi_items_well_formed():
-    from headparse.recognizers_basic import InfixIndex
     for aug, n, visited in _visited(build_phi, "phi"):
-        index = InfixIndex(aug)
+        valid = _head_infixes(aug)
         for cfg in visited:
             for item in cfg:
                 assert type(item) is SetInfix and len(item.delta) == 1
@@ -63,20 +68,19 @@ def test_phi_items_well_formed():
                 # some rule of the left-hand side really has this
                 # head-containing infix
                 (lhs,) = item.delta
-                assert (lhs, item.gamma) in index.valid
+                assert (lhs, item.gamma) in valid
 
 
 def test_ehi_items_well_formed():
-    from headparse.recognizers_basic import InfixIndex
     for aug, n, visited in _visited(build_ehi, "ehi"):
-        index = InfixIndex(aug)
+        valid = _head_infixes(aug)
         for cfg in visited:
             for item in cfg:
                 assert type(item) is SetInfix
                 assert item.delta and item.gamma
                 assert -1 <= item.i <= item.k < item.m <= item.j <= n
                 for lhs in item.delta:
-                    assert (lhs, item.gamma) in index.valid
+                    assert (lhs, item.gamma) in valid
 
 
 def test_hi_items_well_formed():
