@@ -13,23 +13,24 @@ infinite searches into either pruned duplicates or a distinct
 resource-limit verdict; they never affect accept/reject outcomes on
 searches that terminate.
 
-Every clause reads at most the top `Automaton.reach(top)` items of a
-stack, its *window*, where `top` is the stack's top item.  As in an LR
-parser, the state on top tells how deep a step reads: a reduction reads
-as many entries as the finished rule has members, every other step reads
-the top alone.  The steps a stack allows are therefore a function of its
-window and the input, and a run keeps a table of them keyed by the top
-item first.  A top whose window is the top alone maps straight to its
-steps; any other top maps to its reach, and the steps of its windows sit
-in a second table keyed by window.  So a stack whose top was met before
-costs one item's hash, and `reach` runs only on a top with no entry yet.
-The matchers run once per distinct window, and every later stack with
-that window replays the recorded steps in the same order.  A window's
-steps are recorded as the search pulls them and stored only once all are
-pulled, so a search that accepts early never computes steps it does not
-take.  The tables live for one run; they are the transition relation of
-the automaton on that input, restricted to the windows the search
-reached.
+Every clause reads at most the top few items of a stack, its *window*,
+and the automaton's `plan(top)` says how many and which clauses can fire,
+where `top` is the stack's top item.  As in an LR parser, the state on
+top decides both: a reduction reads as many entries as the finished rule
+has members, every other step reads the top alone, and the clauses a top
+cannot start are left out.  The steps a stack allows are therefore a
+function of its window and the input, and a run keeps a table of them
+keyed by the top item first.  A top whose window is the top alone maps
+straight to its steps; any other top maps to its window size and planned
+clauses, and the steps of its windows sit in a second table keyed by
+window.  So a stack whose top was met before costs one item's hash, and
+`plan` runs only on a top with no entry yet.  The matchers run once per
+distinct window, and every later stack with that window replays the
+recorded steps in the same order.  A window's steps are recorded as the
+search pulls them and stored only once all are pulled, so a search that
+accepts early never computes steps it does not take.  The tables live for
+one run; they are the transition relation of the automaton on that input,
+restricted to the windows the search reached.
 
 Items carry the -1-based input positions used throughout this toolkit
 directly (the bottom marker occupies the span (-1, 0]), with no internal
@@ -71,22 +72,15 @@ class Clause:
     ``(matched, replacement, consulted)`` where `matched` is how many top
     items the instance consumes, `replacement` the items pushed in their
     place (bottom to top), and `consulted` the input position a scanning
-    step read, or None.  `window` is the top `Automaton.reach(top)` items
-    of the stack (fewer on a shorter stack), where `top` is the stack's
-    top item, and a matcher reads nothing else: on a top whose reach does
-    not cover the items a clause would read below it, the clause finds
-    nothing.
-
-    `top` and `below`, when given, are the item types the clause needs on
-    top of the window and right below it; the engine does not call the
-    matcher on other windows.  They only filter: a matcher still checks
-    the types itself, so a clause without them finds the same steps.
+    step read, or None.  `window` is the top items of the stack that
+    `Automaton.plan` sizes (fewer on a shorter stack), and a matcher reads
+    nothing else.  A matcher checks everything it needs itself: a clause
+    the window's plan leaves out finds nothing there, so running every
+    clause on the whole stack finds the same steps.
     """
 
     label: str
     matcher: Callable
-    top: Optional[type] = None
-    below: Optional[type] = None
 
 
 @dataclass
@@ -104,32 +98,12 @@ class Automaton:
     # item's set, so it accepts on [init, item-containing-fin]).
     make_accepting: Optional[Callable] = None
     collapse_rows: Optional[Callable] = None
-    # `reach(top)`: how many top items the clauses read when `top` is the
-    # top item; see `Clause`.  Every builder states its own rule.
-    reach: Callable = field(kw_only=True)
-    # (type below the top or None, type of the top) -> the clauses that
-    # may apply, in order, filled from `clauses` as windows are met; None
-    # when no clause declares a type.  `__post_init__` makes it afresh, so
-    # copies made by `dataclasses.replace` never share it.
-    _dispatch: Optional[dict] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        declared = any(clause.top is not None or clause.below is not None
-                       for clause in self.clauses)
-        self._dispatch = {} if declared else None
-
-    def clauses_for(self, window):
-        """The clauses, in order, whose declared item types fit the window."""
-        if self._dispatch is None:
-            return self.clauses
-        key = (type(window[-2]) if len(window) > 1 else None, type(window[-1]))
-        clauses = self._dispatch.get(key)
-        if clauses is None:
-            below, top = key
-            clauses = self._dispatch[key] = tuple(
-                clause for clause in self.clauses
-                if clause.top in (None, top) and clause.below in (None, below))
-        return clauses
+    # `plan(top) -> (reach, labels)`: when `top` is the top item, the
+    # clauses read the top `reach` items, and only those labelled in
+    # `labels`, named in `clauses` order, can find a step; the others find
+    # nothing there.  Every builder states its own rule.  Labels, not
+    # clauses, so a copy with wrapped matchers runs its own.
+    plan: Callable = field(kw_only=True)
 
     def accepting_predicate(self, n):
         if self.make_accepting is not None:
@@ -214,11 +188,9 @@ def run(automaton: Automaton, tokens, *, max_steps: int = 1_000_000,
     if max_depth is None:
         max_depth = default_max_depth(n, automaton.size_hint)
     accepting = automaton.accepting_predicate(n)
-    reach = automaton.reach
-    clauses_for = automaton.clauses_for
-    # every clause may apply to every window when none declares an item
-    # type, so a table miss takes the whole tuple without a lookup
-    every = automaton.clauses if automaton._dispatch is None else None
+    plan = automaton.plan
+    by_label = {clause.label: clause for clause in automaton.clauses}
+    resolved = {}  # labels of a plan -> their clauses
     start = (automaton.make_init(n),)
 
     # Every stack reached maps to its link (stack, clause label, link of
@@ -226,8 +198,8 @@ def run(automaton: Automaton, tokens, *, max_steps: int = 1_000_000,
     # stack is the one its trace follows; the same map is the visited set.
     parents = {start: None}
     # top item -> its steps, once a search has pulled them all, when the
-    # top alone is its window; else top -> its reach, and the steps of its
-    # windows are in `windows`
+    # top alone is its window; else top -> (reach, planned clauses), and
+    # the steps of its windows are in `windows`
     table = {}
     windows = {}  # window of more than one item -> its steps, likewise
 
@@ -239,17 +211,18 @@ def run(automaton: Automaton, tokens, *, max_steps: int = 1_000_000,
         if type(entry) is list:
             return iter(entry) if entry else None
         if entry is None:
-            entry = reach(top)
-            if entry == 1:
-                window = stack[-1:]
-                return _recorded(every or clauses_for(window),
-                                 window, ctx, table, top)
-            table[top] = entry
-        window = stack[-entry:]
+            reach, labels = plan(top)
+            clauses = resolved.get(labels)
+            if clauses is None:
+                clauses = resolved[labels] = tuple(map(by_label.__getitem__, labels))
+            if reach == 1:
+                return _recorded(clauses, stack[-1:], ctx, table, top)
+            entry = table[top] = (reach, clauses)
+        reach, clauses = entry
+        window = stack[-reach:]
         steps = windows.get(window)
         if steps is None:
-            return _recorded(every or clauses_for(window),
-                             window, ctx, windows, window)
+            return _recorded(clauses, window, ctx, windows, window)
         return iter(steps) if steps else None
 
     explored = 1
@@ -357,7 +330,7 @@ def replay(automaton: Automaton, tokens, trace: Trace) -> bool:
         if matcher is None or not any(
                 cur[:len(cur) - matched] + replacement == step.stack
                 for matched, replacement, _ in matcher(
-                    cur[-automaton.reach(cur[-1]):], ctx)):
+                    cur[-automaton.plan(cur[-1])[0]:], ctx)):
             return False
         cur = step.stack
     return automaton.accepting_predicate(ctx.n)(cur)

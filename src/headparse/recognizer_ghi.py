@@ -201,9 +201,6 @@ def build_ghi(g: GenHeadGrammar) -> Automaton:
             for t in ordered(q2):
                 yield DoneItem(item.k, t, edge) if rightward else DoneItem(edge, t, item.m)
 
-    # Each factory returns its clause with the item types its matcher
-    # checks declared, so the engine can skip the matcher on other windows.
-
     # -- 1a..1d: empty-subtree conversions ---------------------------------
 
     def empty_side(label, shape, rightward):
@@ -215,7 +212,7 @@ def build_ghi(g: GenHeadGrammar) -> Automaton:
             if q2:
                 for item in found(top, rightward, top.m if rightward else top.k, q2):
                     yield 1, (item,), None
-        return Clause(label, matcher, top=shape)
+        return Clause(label, matcher)
 
     # -- 2/3: head scans into a pending subtree window ----------------------
 
@@ -233,7 +230,7 @@ def build_ghi(g: GenHeadGrammar) -> Automaton:
                 q2 = goto_sym(base, a)
                 if q2:
                     yield 1, (top, FullItem(lo, p - 1, q2, p, hi)), p
-        return Clause(label, matcher, top=shape)
+        return Clause(label, matcher)
 
     # -- 4/5: attach a completed subtree -----------------------------------
 
@@ -253,7 +250,7 @@ def build_ghi(g: GenHeadGrammar) -> Automaton:
             if q2:
                 for item in found(below, rightward, top.m if rightward else top.k, q2):
                     yield 2, (item,), None
-        return Clause(label, matcher, top=DoneItem, below=shape)
+        return Clause(label, matcher)
 
     # -- 6/7: attach a completed rule as a new subtree root -----------------
 
@@ -273,7 +270,7 @@ def build_ghi(g: GenHeadGrammar) -> Automaton:
             if q2:
                 lo, hi = (below.m, below.j) if rightward else (below.i, below.k)
                 yield 1, (FullItem(lo, top.k, q2, top.m, hi),), None
-        return Clause(label, matcher, top=DoneItem, below=shape)
+        return Clause(label, matcher)
 
     clauses = (
         empty_side("1a", FullItem, True),
@@ -323,10 +320,16 @@ def build_ghi(g: GenHeadGrammar) -> Automaton:
                 idx += 1
         return rows
 
-    def reach(top):
-        # only 4a..7b read below the top, and they need a done item on top
-        return 2 if type(top) is DoneItem else 1
+    # Each matcher checks the type of the top item first; a done item is
+    # planned by what it holds, and only 4a..7b read the item below it.
+    plans = {FullItem: (1, ("1a", "1b", "2a", "2b")),
+             RightOpenItem: (1, ("1c", "3a")), LeftOpenItem: (1, ("1d", "3b")),
+             Tree: (2, ("4a", "4b", "5a", "5b")),
+             GenHeadRule: (2, ("6a", "6b", "7a", "7b"))}
+
+    def plan(top):
+        return plans[type(top.t) if type(top) is DoneItem else type(top)]
 
     return Automaton("ghi", clauses, make_init, make_fin, render_item,
                      (len(g.rules) + 1, len(g.nonterminals) + 1),
-                     collapse_rows=collapse_rows, reach=reach)
+                     collapse_rows=collapse_rows, plan=plan)

@@ -247,14 +247,19 @@ def build_hi(aug: AugmentedGrammar) -> Automaton:
         Clause("4a", reduce_side(True, advance=True)),
         Clause("4b", reduce_side(False, advance=True)),
     )
+    open_plan = (1, ("1a", "1b", "2a", "2b"))
+    all_labels = ("1a", "1b", "2a", "2b", "3a", "3b", "4a", "4b")
+
     @cache
-    def reach_of(q):
-        # a reduction reads the rule's members and the context item below
-        # them; every other clause reads the top alone
-        return 1 + max((len(rules[rid].rhs) for rid, ld, rd in q
-                        if ld == 0 and rd == len(rules[rid].rhs)), default=0)
+    def plan_of(q):
+        # a reduction (3a..4b) needs a finished rule in the set, and reads
+        # the rule's members and the context item below them; every other
+        # clause reads the top alone
+        size = max((len(rules[rid].rhs) for rid, ld, rd in q
+                    if ld == 0 and rd == len(rules[rid].rhs)), default=0)
+        return (1 + size, all_labels) if size else open_plan
 
     return Automaton("hi", clauses, make_init, make_fin, _render_hi(aug),
                      (len(rules), len(aug.nonterminals)),
                      make_accepting=make_accepting,
-                     reach=lambda top: reach_of(top.q))
+                     plan=lambda top: plan_of(top.q))

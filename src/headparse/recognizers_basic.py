@@ -158,15 +158,17 @@ def _make_attach(aug, rightward):
     return matcher
 
 
-def _dotted_reach(aug):
-    """`Automaton.reach` of td and hc: only a finished rule on top lets a
-    clause (3, 3a/3b, 4a/4b) read the item below it."""
+def _dotted_plan(aug, unfinished, finished):
+    """`Automaton.plan` of td and hc for a dotted top: a finished rule has
+    nothing pending, so only `finished` (3, 3a/3b, 4a/4b) can fire on it,
+    and they read the item below it."""
     sizes = tuple(len(r.rhs) for r in aug.rules)
+    open_plan = (1, unfinished)
+    done_plan = (2, finished)
 
-    def reach(top):
-        finished = type(top) is Dotted and top.ld == 0 and top.rd == sizes[top.rule]
-        return 2 if finished else 1
-    return reach
+    def plan(top):
+        return done_plan if top.ld == 0 and top.rd == sizes[top.rule] else open_plan
+    return plan
 
 
 def _dotted_head(aug, rid, i, k, m, j):
@@ -247,18 +249,23 @@ def build_td(aug: AugmentedGrammar) -> Automaton:
                 yield 2, (_dotted_head(aug, rid, below.i, top.k, top.m, below.j),), None
 
     clauses = (
-        Clause("0", clause_0, top=Goal),
-        Clause("0a", predict_side(True), top=Dotted),
-        Clause("0b", predict_side(False), top=Dotted),
-        Clause("1", clause_1, top=Goal),
-        Clause("2a", _make_scan(aug, True), top=Dotted),
-        Clause("2b", _make_scan(aug, False), top=Dotted),
-        Clause("3", clause_3, top=Dotted, below=Goal),
-        Clause("4a", _make_attach(aug, True), top=Dotted, below=Dotted),
-        Clause("4b", _make_attach(aug, False), top=Dotted, below=Dotted),
+        Clause("0", clause_0),
+        Clause("0a", predict_side(True)),
+        Clause("0b", predict_side(False)),
+        Clause("1", clause_1),
+        Clause("2a", _make_scan(aug, True)),
+        Clause("2b", _make_scan(aug, False)),
+        Clause("3", clause_3),
+        Clause("4a", _make_attach(aug, True)),
+        Clause("4b", _make_attach(aug, False)),
     )
+    dotted_plan = _dotted_plan(aug, ("0a", "0b", "2a", "2b"), ("3", "4a", "4b"))
+
+    def plan(top):  # 0a..4b need a dotted rule on top
+        return (1, ("0", "1")) if type(top) is Goal else dotted_plan(top)
+
     return Automaton("td", clauses, make_init, make_fin, _render_td(aug),
-                     (len(aug.rules), len(nts)), reach=_dotted_reach(aug))
+                     (len(aug.rules), len(nts)), plan=plan)
 
 
 # ------------------------------------------------------------------ HC
@@ -326,7 +333,9 @@ def build_hc(aug: AugmentedGrammar) -> Automaton:
         Clause("4b", _make_attach(aug, False)),
     )
     return Automaton("hc", clauses, make_init, make_fin, _render_td(aug),
-                     (len(aug.rules), len(nts)), reach=_dotted_reach(aug))
+                     (len(aug.rules), len(nts)),
+                     plan=_dotted_plan(aug, ("1a", "1b", "2a", "2b"),
+                                       ("3a", "3b", "4a", "4b")))
 
 
 # ------------------------------------------------------------------ infix index
@@ -429,11 +438,14 @@ def _build_infix(aug, name, merge_lhs):
         lhs = index.complete.get(item.gamma)
         return sorted(item.delta & lhs) if lhs else ()
 
-    def reach(top):
-        """Only a top with a completed member lets 3a/3b and 4a/4b read
-        the item below it."""
+    open_plan = (1, ("1a", "1b", "2a", "2b"))
+    done_plan = (2, ("1a", "1b", "2a", "2b", "3a", "3b", "4a", "4b"))
+
+    def plan(top):
+        """3a/3b and 4a/4b need a completed member on top, and read the
+        item below it."""
         lhs = index.complete.get(top.gamma)
-        return 2 if lhs and not top.delta.isdisjoint(lhs) else 1
+        return done_plan if lhs and not top.delta.isdisjoint(lhs) else open_plan
 
     def predict_scan_side(rightward):
         continuations = index.right_nt if rightward else index.left_nt
@@ -547,7 +559,7 @@ def _build_infix(aug, name, merge_lhs):
     )
     render = _render_set_infix if merge_lhs else _render_infix
     return Automaton(name, clauses, make_init, make_fin, render,
-                     (len(aug.rules), len(nts)), reach=reach)
+                     (len(aug.rules), len(nts)), plan=plan)
 
 
 def build_phi(aug: AugmentedGrammar) -> Automaton:

@@ -181,14 +181,9 @@ def tau_head(g: GenHeadGrammar) -> HeadGrammar:
     Identical subtrees are merged across the whole grammar, so the output
     has exactly rules(g) + (number of distinct proper subtrees) rules.
     """
-    seen = {}  # ordered set of proper subtrees, parents first
-    for r in g.rules:
-        todo = [r.rhs.right, r.rhs.left]
-        while todo:
-            node = todo.pop()
-            if node is not None and node not in seen:
-                seen[node] = None
-                todo += (node.right, node.left)
+    # ordered set of proper subtrees, parents first
+    seen = dict.fromkeys(node for r in g.rules for side in (r.rhs.left, r.rhs.right)
+                         if side is not None for node in subtrees(side))
     # a subtree first met under one rule can recur under a later parent,
     # so `seen` is not children-first in general
     names = _bracket_names(seen)
@@ -297,8 +292,10 @@ def _tokenize_tree(line, i):
 
 def _parse_tree(tokens):
     def fail(msg, at):
-        col = tokens[at][0] if at < len(tokens) else (tokens[-1][0] if tokens else 1)
-        raise _LineError(msg, col)
+        # a line that ends inside the tree is cut off, whatever was due next
+        if at >= len(tokens):
+            msg, at = "unterminated tree", len(tokens) - 1
+        raise _LineError(msg, tokens[at][0] if tokens else 1)
 
     pos = 0
     open_nodes = []  # (root, children found so far) of unfinished inner nodes

@@ -1,3 +1,4 @@
+import dataclasses
 from typing import NamedTuple
 
 import pytest
@@ -51,6 +52,20 @@ def explore(automaton, tokens):
         assert len(states) <= 200_000, "search space outgrew the cap"
     return Explored({stack for stack, _ in states},
                     {consulted for _, consulted in states})
+
+
+def counting_copy(automaton):
+    """A copy whose matchers log (clause label, window) per call, made as a
+    tracer that times matchers makes its copy; and the log."""
+    calls = []
+
+    def counted(clause):
+        def matcher_calls(window, ctx):
+            calls.append((clause.label, window))
+            return clause.matcher(window, ctx)
+        return dataclasses.replace(clause, matcher=matcher_calls)
+    return dataclasses.replace(
+        automaton, clauses=tuple(map(counted, automaton.clauses))), calls
 
 
 def reference_trace_text(automaton, trace):

@@ -1,15 +1,16 @@
 import dataclasses
+from collections import Counter
 
 import pytest
 
-from headparse import (Clause, EngineError, Verdict, accepting_trace, augment,
+from headparse import (EngineError, Verdict, accepting_trace, augment,
                        build_ghi, build_hc, detect_cyclic,
                        detect_head_recursion, embed, engine, replay,
                        render_trace_text, run, trace_records)
 from headparse.corpus import (all_inputs, eligible, gen_eligible,
                               gen_grammar_corpus, head_grammar_corpus)
 from headparse.recognizers_basic import build_td
-from conftest import FLAT_BUILDERS, explore, hg
+from conftest import FLAT_BUILDERS, counting_copy, explore, hg
 
 
 def test_td_accepts_single_terminal():
@@ -210,10 +211,17 @@ def _steps(clauses, stack, ctx):
     return list(engine._successors(clauses, stack, ctx))
 
 
+def _planned(automaton, top):
+    """The top's window size and the clauses its plan names, in order."""
+    reach, labels = automaton.plan(top)
+    by_label = {clause.label: clause for clause in automaton.clauses}
+    return reach, [by_label[label] for label in labels]
+
+
 def test_clauses_read_only_their_window():
-    # the steps of a stack are a function of its top `reach(top)` items,
-    # which is what lets one run share them between stacks; the declared
-    # item types only skip clauses that would find nothing
+    # the steps of a stack are a function of its top `reach` items, which
+    # is what lets one run share them between stacks, and the clauses its
+    # plan leaves out find none of them
     deepest = {}
     checked = 0
     for automaton, inputs in _window_cases():
@@ -223,11 +231,11 @@ def test_clauses_read_only_their_window():
             result = run(automaton, tokens, exhaustive=True)
             assert result.stats.configurations_explored == len(stacks)
             for stack in stacks:
-                reach = automaton.reach(stack[-1])
+                reach, planned = _planned(automaton, stack[-1])
                 window = stack[-reach:]
                 steps = _steps(automaton.clauses, window, ctx)
                 assert _steps(automaton.clauses, stack, ctx) == steps
-                assert _steps(automaton.clauses_for(window), window, ctx) == steps
+                assert _steps(planned, window, ctx) == steps
                 deepest[automaton.name] = max(deepest.get(automaton.name, 0), reach)
                 checked += 1
     assert checked > 1000
@@ -236,38 +244,29 @@ def test_clauses_read_only_their_window():
     assert deepest == {"td": 2, "hc": 2, "phi": 2, "ehi": 2, "hi": 6, "ghi": 2}
 
 
-def test_undeclared_clauses_search_the_same_way():
-    # an automaton rebuilt from bare (label, matcher) clauses, as a wrapper
-    # that times matchers builds it, runs the same search
+def test_matchers_run_only_as_planned():
+    # a copy with wrapped matchers, as a tracer that times them makes it,
+    # calls each planned clause at most once per window and no other
     for automaton, inputs in _window_cases():
-        bare = dataclasses.replace(automaton, clauses=tuple(
-            Clause(c.label, c.matcher) for c in automaton.clauses))
         for tokens in inputs:
-            declared = run(automaton, tokens, exhaustive=True)
-            plain = run(bare, tokens, exhaustive=True)
-            assert plain.stats == declared.stats
-            assert plain.accepting_trace == declared.accepting_trace
+            _, calls = _counted_run(automaton, tokens)
+            for (label, window), count in Counter(calls).items():
+                reach, labels = automaton.plan(window[-1])
+                assert label in labels and len(window) <= reach
+                assert count == 1
 
 
 def _counted_run(automaton, tokens):
-    """An exhaustive run, and the window of every matcher call it made."""
-    calls = []
-
-    def counted(matcher):
-        def matcher_calls(window, ctx):
-            calls.append(window)
-            return matcher(window, ctx)
-        return matcher_calls
-    counting = dataclasses.replace(automaton, clauses=tuple(
-        dataclasses.replace(c, matcher=counted(c.matcher))
-        for c in automaton.clauses))
+    """An exhaustive run, and the (clause label, window) of every matcher
+    call it made."""
+    counting, calls = counting_copy(automaton)
     result = run(counting, tokens, exhaustive=True)
     assert result.stats == run(automaton, tokens, exhaustive=True).stats
     return result, calls
 
 
 def _windows(automaton, stacks):
-    return {stack[-automaton.reach(stack[-1]):] for stack in stacks}
+    return {stack[-automaton.plan(stack[-1])[0]:] for stack in stacks}
 
 
 AMBIGUOUS = hg("S", ("S", "S *S"), ("S", "*a"))

@@ -128,6 +128,10 @@ def test_parse_ghg_reports_positions():
     ("A B -> (a)", "expected '<Lhs> -> <tree>'", 1),
     ("  -> (a)", "expected '<Lhs> -> <tree>'", 3),
     ("S -> (", "unterminated tree", 6),
+    ("S -> (a", "unterminated tree", 7),
+    ("S -> (a (b)", "unterminated tree", 11),
+    ("S -> (a (b) ()", "unterminated tree", 14),
+    ("S -> (a (b) (c)", "unterminated tree", 15),
     ("S -> ((a))", "expected symbol", 7),
     ("S -> (s (a) (b) (c))", "expected ')'", 17),
 ])

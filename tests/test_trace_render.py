@@ -105,7 +105,7 @@ def test_multi_item_reductions_match_reference():
 def _stub_automaton():
     """Items are ints rendered as that many 'x's, so 0 renders empty."""
     return engine.Automaton("stub", (), lambda n: 0, lambda n: 0,
-                            lambda item: "x" * item, reach=lambda top: 1)
+                            lambda item: "x" * item, plan=lambda top: (1, ()))
 
 
 stacks = st.lists(st.integers(0, 3), max_size=8).map(tuple)
