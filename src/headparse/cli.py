@@ -72,7 +72,8 @@ def _positive_int(text: str) -> int:
 
 def _load_grammar(path: str):
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        # utf-8-sig: a byte order mark some editors save is not a token
+        with open(path, "r", encoding="utf-8-sig") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise GrammarError("cannot read %s: %s" % (path, exc))
@@ -182,7 +183,20 @@ def _print_table(rows):
         print("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip())
 
 
+# flags of `compare` that only one source reads, by source
+_COMPARE_FLAGS = {
+    "--random": ("input", "chars", "embed", "algorithms", "exhaustive"),
+    "--grammar": ("max_len", "seed"),
+}
+
+
 def cmd_compare(args) -> int:
+    source = "--grammar" if args.random is None else "--random"
+    for dest in _COMPARE_FLAGS[source]:
+        value = getattr(args, dest)
+        if value is not None and value is not False:
+            raise UsageError("--%s does not apply to compare %s"
+                             % (dest.replace("_", "-"), source))
     if args.random is not None:
         return _compare_random(args)
     grammar = _load_grammar(args.grammar)
@@ -216,12 +230,13 @@ def cmd_compare(args) -> int:
 
 def _compare_random(args) -> int:
     seed = args.seed if args.seed is not None else random.randrange(2 ** 32)
-    corpus = [(g, oracle.enumerate_language(g, args.max_len))
+    max_len = args.max_len if args.max_len is not None else 4
+    corpus = [(g, oracle.enumerate_language(g, max_len))
               for g in head_grammar_corpus(args.random, seed)]
-    data = differential.check(corpus, all_inputs(("a", "b"), args.max_len),
+    data = differential.check(corpus, all_inputs(("a", "b"), max_len),
                               **_run_limits(args))
     print("seed %d, %d grammars, inputs up to length %d"
-          % (seed, args.random, args.max_len))
+          % (seed, args.random, max_len))
     for o in data.mismatches:
         print("disagreement: grammar %d, %s, input %r (oracle %s)"
               % (o.grammar, o.algorithm, " ".join(o.tokens), o.expected))
@@ -275,14 +290,14 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--grammar")
     source.add_argument("--random", type=_positive_int, metavar="N",
                         help="differential batch over N seeded random grammars")
-    cmp_.add_argument("--input", default="")
+    cmp_.add_argument("--input")
     cmp_.add_argument("--chars", action="store_true")
     cmp_.add_argument("--embed", action="store_true")
     cmp_.add_argument("--algorithms", help="comma-separated subset of: %s" % ",".join(ALGORITHMS))
     cmp_.add_argument("--exhaustive", action="store_true",
                       help="explore the whole space even after accepting")
-    cmp_.add_argument("--max-len", type=_positive_int, default=4,
-                      help="input length bound for --random")
+    cmp_.add_argument("--max-len", type=_positive_int,
+                      help="input length bound for --random (default 4)")
     cmp_.add_argument("--seed", type=int)
     cmp_.add_argument("--max-steps", type=_positive_int)
     cmp_.add_argument("--max-depth", type=_positive_int)
@@ -311,9 +326,10 @@ def main(argv=None) -> int:
     except oracle.EnumerationLimitError as exc:
         print("error: language enumeration stopped: %s" % exc, file=sys.stderr)
         return EXIT_LIMIT
-    except OSError as exc:
-        # commands read files through `_load_grammar` and write `-o` files
-        # themselves, so an OSError that gets here is a failed write to stdout
+    except (OSError, UnicodeEncodeError) as exc:
+        # commands read files through `_load_grammar`, write `-o` files
+        # themselves and encode no text, so what gets here is a failed write
+        # to stdout, or output that stdout's encoding cannot spell
         print("error: cannot write stdout: %s" % exc, file=sys.stderr)
         return EXIT_ERROR
     except Exception as exc:

@@ -2,14 +2,14 @@
 
 An automaton is an initial stack symbol, an accepting stack, and an
 ordered list of clauses.  A clause inspects the top of the current stack
-(together with the input) and proposes replacements for the topmost few
-symbols; each proposal is one nondeterministic step.  The engine explores
-the resulting configuration space depth first, taking clauses in their
-listed order and input positions in ascending order, so runs and traces
-are reproducible.  Stacks already seen are pruned: transitions read only
-the stack, the input, and indexes stored inside items, so equal stacks
-have equal futures.  Pruning plus explicit step/depth bounds turn would-be
-infinite searches into either pruned duplicates or a distinct
+(together with the input) and proposes steps in pushdown normal form: pop
+some top items, then push one.  Each proposal is one nondeterministic
+step.  The engine explores the resulting configuration space depth first,
+taking clauses in their listed order and input positions in ascending
+order, so runs and traces are reproducible.  Stacks already seen (a plain
+visited set) are pruned: transitions read only the stack, the input, and
+indexes stored inside items, so equal stacks have equal futures.  Pruning plus explicit step/depth bounds turn
+would-be infinite searches into either pruned duplicates or a distinct
 resource-limit verdict; they never affect accept/reject outcomes on
 searches that terminate.
 
@@ -36,10 +36,11 @@ Items carry the -1-based input positions used throughout this toolkit
 directly (the bottom marker occupies the span (-1, 0]), with no internal
 shifting, so printed traces read exactly like the items themselves.
 
-Each search path also carries the set of input positions its scanning
-steps consulted, on its agenda entry rather than in a map keyed by stack,
-so sets from different search branches are never merged.  A run reports
-one of them: the accepting path's, or else the widest any path reached.
+Each search path carries its trace link and the input positions its
+scanning steps consulted on its agenda entry, not in a map keyed by
+stack, so sets of different branches never merge and only open paths and
+the accepting one hold links.  A run reports the accepting path's set, or
+else the widest any path reached.
 """
 
 from __future__ import annotations
@@ -59,19 +60,13 @@ class Verdict(str, Enum):
     RESOURCE_LIMIT = "resource-limit"
 
 
-class RunContext(NamedTuple):
-    tokens: tuple
-    n: int
-
-
 @dataclass(frozen=True)
 class Clause:
     """A labelled transition schema.
 
-    `matcher(window, ctx)` yields one tuple per applicable instance:
-    ``(matched, replacement, consulted)`` where `matched` is how many top
-    items the instance consumes, `replacement` the items pushed in their
-    place (bottom to top), and `consulted` the input position a scanning
+    `matcher(window, tokens)` yields one ``(popped, item, consulted)`` per
+    applicable instance: a step that pops the top `popped` items (0 for a
+    push), then pushes `item`; `consulted` is the input position a scanning
     step read, or None.  `window` is the top items of the stack that
     `Automaton.plan` sizes (fewer on a shorter stack), and a matcher reads
     nothing else.  A matcher checks everything it needs itself: a clause
@@ -151,22 +146,22 @@ def default_max_depth(n, size_hint):
     return 16 * (n + 2) * (rules + nonterminals)
 
 
-def _successors(clauses, stack, ctx):
-    """Every step the clauses allow on `stack`, computed afresh: what the
-    run's table records and replays."""
+def _successors(clauses, stack, tokens):
+    """Every step (label, popped, item, consulted) the clauses allow on
+    `stack`, computed afresh: what the run's table records and replays."""
     for clause in clauses:
-        for matched, replacement, consulted in clause.matcher(stack, ctx):
-            yield clause.label, matched, replacement, consulted
+        for popped, item, consulted in clause.matcher(stack, tokens):
+            yield clause.label, popped, item, consulted
 
 
-def _recorded(clauses, window, ctx, table, key):
-    """The window's steps; once all are pulled they are stored as
-    `table[key]`."""
+def _recorded(clauses, window, tokens, table, key):
+    """The window's steps, each item in a 1-tuple that a replay appends as
+    it is; once all are pulled they are stored as `table[key]`."""
     steps = []
     for clause in clauses:
         label = clause.label
-        for matched, replacement, consulted in clause.matcher(window, ctx):
-            step = (label, matched, replacement, consulted)
+        for popped, item, consulted in clause.matcher(window, tokens):
+            step = (label, popped, (item,), consulted)
             steps.append(step)
             yield step
     table[key] = steps
@@ -184,7 +179,6 @@ def run(automaton: Automaton, tokens, *, max_steps: int = 1_000_000,
     """
     tokens = tuple(tokens)
     n = len(tokens)
-    ctx = RunContext(tokens, n)
     if max_depth is None:
         max_depth = default_max_depth(n, automaton.size_hint)
     accepting = automaton.accepting_predicate(n)
@@ -193,10 +187,7 @@ def run(automaton: Automaton, tokens, *, max_steps: int = 1_000_000,
     resolved = {}  # labels of a plan -> their clauses
     start = (automaton.make_init(n),)
 
-    # Every stack reached maps to its link (stack, clause label, link of
-    # the parent stack), the start to None; the first path to reach a
-    # stack is the one its trace follows; the same map is the visited set.
-    parents = {start: None}
+    seen = {start}  # a trace follows the first path to reach its stack
     # top item -> its steps, once a search has pulled them all, when the
     # top alone is its window; else top -> (reach, planned clauses), and
     # the steps of its windows are in `windows`
@@ -216,13 +207,13 @@ def run(automaton: Automaton, tokens, *, max_steps: int = 1_000_000,
             if clauses is None:
                 clauses = resolved[labels] = tuple(map(by_label.__getitem__, labels))
             if reach == 1:
-                return _recorded(clauses, stack[-1:], ctx, table, top)
+                return _recorded(clauses, stack[-1:], tokens, table, top)
             entry = table[top] = (reach, clauses)
         reach, clauses = entry
         window = stack[-reach:]
         steps = windows.get(window)
         if steps is None:
-            return _recorded(clauses, window, ctx, windows, window)
+            return _recorded(clauses, window, tokens, windows, window)
         return iter(steps) if steps else None
 
     explored = 1
@@ -237,7 +228,8 @@ def run(automaton: Automaton, tokens, *, max_steps: int = 1_000_000,
     # equal belong to equal sets, so it does not depend on search order
     widest = frozenset()
 
-    # agenda entries: (stack, consulted set, its steps, its link)
+    # agenda entries: (stack, consulted set, its steps, its link), a link
+    # being (stack, clause label, link of the parent stack) or None
     agenda = [(start, frozenset(), pull(start) or iter(()), None)]
     while agenda:
         cfg, base, successors, link = agenda[-1]
@@ -245,21 +237,24 @@ def run(automaton: Automaton, tokens, *, max_steps: int = 1_000_000,
         if step is None:
             agenda.pop()
             continue
-        label, matched, replacement, pos = step
+        label, popped, pushed, pos = step
         applications += 1
         if applications > max_steps:
             limit_kind = "steps"
             break
-        new_cfg = cfg[:len(cfg) - matched] + replacement
+        # a push slices the whole stack, which is the stack itself
+        new_cfg = cfg[:len(cfg) - popped] + pushed
         if len(new_cfg) > max_depth:
             limit_kind = "depth"
             continue
-        new_link = (new_cfg, label, link)
-        # one lookup both tests for and records the stack
-        if parents.setdefault(new_cfg, new_link) is not new_link:
+        # one hash both tests for and records the stack
+        before = len(seen)
+        seen.add(new_cfg)
+        if len(seen) == before:
             duplicates += 1
             continue
         explored += 1
+        new_link = (new_cfg, label, link)
         new_consulted = base if pos is None else base | {pos}
         if new_consulted is not base:
             size = len(new_consulted)
@@ -320,20 +315,20 @@ def replay(automaton: Automaton, tokens, trace: Trace) -> bool:
     application from its predecessor and the final stack is accepting.
     """
     tokens = tuple(tokens)
-    ctx = RunContext(tokens, len(tokens))
-    if trace.initial != (automaton.make_init(ctx.n),):
+    n = len(tokens)
+    if trace.initial != (automaton.make_init(n),):
         return False
     matchers = {clause.label: clause.matcher for clause in automaton.clauses}
     cur = trace.initial
     for step in trace.steps:
         matcher = matchers.get(step.label)
         if matcher is None or not any(
-                cur[:len(cur) - matched] + replacement == step.stack
-                for matched, replacement, _ in matcher(
-                    cur[-automaton.plan(cur[-1])[0]:], ctx)):
+                cur[:len(cur) - popped] + (item,) == step.stack
+                for popped, item, _ in matcher(
+                    cur[-automaton.plan(cur[-1])[0]:], tokens)):
             return False
         cur = step.stack
-    return automaton.accepting_predicate(ctx.n)(cur)
+    return automaton.accepting_predicate(n)(cur)
 
 
 def trace_rows(automaton: Automaton, trace: Trace):
@@ -380,9 +375,10 @@ def _row_changes(automaton: Automaton, trace: Trace):
     from a memo that lives for this call: a trace k deep renders O(k)
     distinct items instead of O(k^2) stacked ones.  Keying the memo by
     item equality is safe because `render_item` reads nothing but the
-    item, and equal items of one automaton have one class: its item
-    classes differ in arity or carry a `tag` field, so NamedTuples of two
-    classes never compare equal.
+    item, and equal items of one automaton have one class: no two of its
+    item classes hold equal tuples (ghi's four shapes differ in arity, or
+    in where the frozenset sits), so NamedTuples of two classes never
+    compare equal.
     """
     texts = _ItemTexts(automaton.render_item)
     prev = ()

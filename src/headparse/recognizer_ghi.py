@@ -15,8 +15,8 @@ over an outer window and an inner recognized span:
   * leftopen  [i, k, Q, m]    - root and right subtree, left still open
   * done      [k, t, m]       - a single tree or rule, completely derived
 
-The extra trailing tag fields keep the shapes from comparing equal as
-plain tuples; they never vary.
+No two shapes compare equal as plain tuples: they differ in arity, and
+the two four-field shapes hold their set at different indexes.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ class FullItem(NamedTuple):
     q: frozenset
     m: int
     j: int
-    tag: str = "fu"
 
 
 class RightOpenItem(NamedTuple):
@@ -46,7 +45,6 @@ class RightOpenItem(NamedTuple):
     q: frozenset
     m: int
     j: int
-    tag: str = "ro"
 
 
 class LeftOpenItem(NamedTuple):
@@ -54,14 +52,12 @@ class LeftOpenItem(NamedTuple):
     k: int
     q: frozenset
     m: int
-    tag: str = "lo"
 
 
 class DoneItem(NamedTuple):
     k: int
     t: TreeOrRule
     m: int
-    tag: str = "dn"
 
 
 class YldInconsistencyError(RuntimeError):
@@ -204,38 +200,38 @@ def build_ghi(g: GenHeadGrammar) -> Automaton:
     # -- 1a..1d: empty-subtree conversions ---------------------------------
 
     def empty_side(label, shape, rightward):
-        def matcher(stack, ctx):
+        def matcher(stack, tokens):
             top = stack[-1]
             if type(top) is not shape:
                 return
             q2 = select[rightward](top.q, None)
             if q2:
                 for item in found(top, rightward, top.m if rightward else top.k, q2):
-                    yield 1, (item,), None
+                    yield 1, item, None
         return Clause(label, matcher)
 
     # -- 2/3: head scans into a pending subtree window ----------------------
 
     def scan(label, shape, rightward):
-        def matcher(stack, ctx):
+        def matcher(stack, tokens):
             top = stack[-1]
             if type(top) is not shape:
                 return
             base = side_set[rightward](top.q)
             lo, hi = (top.m, top.j) if rightward else (top.i, top.k)
             for p in range(lo + 1, hi + 1):
-                a = ctx.tokens[p - 1]
+                a = tokens[p - 1]
                 if a in nts:  # a token that spells a nonterminal matches nothing
                     continue
                 q2 = goto_sym(base, a)
                 if q2:
-                    yield 1, (top, FullItem(lo, p - 1, q2, p, hi)), p
+                    yield 0, FullItem(lo, p - 1, q2, p, hi), p
         return Clause(label, matcher)
 
     # -- 4/5: attach a completed subtree -----------------------------------
 
     def attach_tree(label, shape, rightward):
-        def matcher(stack, ctx):
+        def matcher(stack, tokens):
             if len(stack) < 2:
                 return
             top = stack[-1]
@@ -249,13 +245,13 @@ def build_ghi(g: GenHeadGrammar) -> Automaton:
             q2 = select[rightward](below.q, top.t)
             if q2:
                 for item in found(below, rightward, top.m if rightward else top.k, q2):
-                    yield 2, (item,), None
+                    yield 2, item, None
         return Clause(label, matcher)
 
     # -- 6/7: attach a completed rule as a new subtree root -----------------
 
     def attach_rule(label, shape, rightward):
-        def matcher(stack, ctx):
+        def matcher(stack, tokens):
             if len(stack) < 2:
                 return
             top = stack[-1]
@@ -269,7 +265,7 @@ def build_ghi(g: GenHeadGrammar) -> Automaton:
             q2 = goto_sym(side_set[rightward](below.q), top.t.lhs)
             if q2:
                 lo, hi = (below.m, below.j) if rightward else (below.i, below.k)
-                yield 1, (FullItem(lo, top.k, q2, top.m, hi),), None
+                yield 1, FullItem(lo, top.k, q2, top.m, hi), None
         return Clause(label, matcher)
 
     clauses = (

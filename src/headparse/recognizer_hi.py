@@ -8,9 +8,9 @@ head) happen in one step; the gate for the fresh rules is the left
 head-corner relation, the restriction of the head-corner relation to rules
 whose head is leftmost (mirrored on the other side).
 
-The clauses never pop the item they extend: a new item is pushed on top,
-one per recognized member, and a reduction with an r-member rule pops the
-r cumulative items above the context it grew from.  One consequence is
+The clauses never pop the item they extend: a new item is pushed on top
+(pop 0), one per recognized member, and a reduction with an r-member rule
+pops the r cumulative items above the context it grew from.  One consequence is
 that the initial stack symbol is never popped, and the final reduction may
 merge other still-live rules into the last item's set; a run therefore
 accepts on the initial item topped by an item with the final spans whose
@@ -160,7 +160,7 @@ def build_hi(aug: AugmentedGrammar) -> Automaton:
     def new_head_side(rightward):
         goto = goto1[rightward]
 
-        def matcher(stack, ctx):
+        def matcher(stack, tokens):
             top = stack[-1]
             if rightward:
                 lo, hi = top.m, top.j
@@ -169,29 +169,29 @@ def build_hi(aug: AugmentedGrammar) -> Automaton:
                 lo, hi = top.i, top.k
                 positions = range(top.i + 1, top.k)
             for p in positions:
-                a = ctx.tokens[p - 1]
+                a = tokens[p - 1]
                 if a in nts:  # a token that spells a nonterminal matches nothing
                     continue
                 q2 = goto(top.q, a)
                 if q2:
-                    yield 1, (top, HiItem(lo, p - 1, q2, p, hi)), p
+                    yield 0, HiItem(lo, p - 1, q2, p, hi), p
         return matcher
 
     def scan_side(rightward):
         goto = goto2[rightward]
 
-        def matcher(stack, ctx):
+        def matcher(stack, tokens):
             top = stack[-1]
             if rightward:
-                if top.m < top.j and ctx.tokens[top.m] not in nts:
-                    q2 = goto(top.q, ctx.tokens[top.m])
+                if top.m < top.j and tokens[top.m] not in nts:
+                    q2 = goto(top.q, tokens[top.m])
                     if q2:
-                        yield 1, (top, HiItem(top.i, top.k, q2, top.m + 1, top.j)), top.m + 1
+                        yield 0, HiItem(top.i, top.k, q2, top.m + 1, top.j), top.m + 1
             else:
-                if top.i < top.k and ctx.tokens[top.k - 1] not in nts:
-                    q2 = goto(top.q, ctx.tokens[top.k - 1])
+                if top.i < top.k and tokens[top.k - 1] not in nts:
+                    q2 = goto(top.q, tokens[top.k - 1])
                     if q2:
-                        yield 1, (top, HiItem(top.i, top.k - 1, q2, top.m, top.j)), top.k
+                        yield 0, HiItem(top.i, top.k - 1, q2, top.m, top.j), top.k
         return matcher
 
     def _chained(chain):
@@ -206,7 +206,7 @@ def build_hi(aug: AugmentedGrammar) -> Automaton:
         advancing goto when it starts at an edge of the context's (4a/4b)."""
         goto = (goto2 if advance else goto1)[rightward]
 
-        def matcher(stack, ctx):
+        def matcher(stack, tokens):
             top = stack[-1]
             emitted = set()
             for rid, ld, rd in sorted(top.q):
@@ -234,7 +234,7 @@ def build_hi(aug: AugmentedGrammar) -> Automaton:
                 key = (size, new)
                 if key not in emitted:
                     emitted.add(key)
-                    yield size, (new,), None
+                    yield size, new, None
         return matcher
 
     clauses = (

@@ -114,7 +114,7 @@ def _make_scan(aug, rightward):
     stretch over an adjacent terminal."""
     nts = aug.nonterminals
 
-    def matcher(stack, ctx):
+    def matcher(stack, tokens):
         top = stack[-1]
         if type(top) is not Dotted:
             return
@@ -122,18 +122,18 @@ def _make_scan(aug, rightward):
         if sym is None or sym in nts:
             return
         if rightward:
-            if top.m < top.j and ctx.tokens[top.m] == sym:
-                yield 1, (top._replace(rd=top.rd + 1, m=top.m + 1),), top.m + 1
+            if top.m < top.j and tokens[top.m] == sym:
+                yield 1, top._replace(rd=top.rd + 1, m=top.m + 1), top.m + 1
         else:
-            if top.i < top.k and ctx.tokens[top.k - 1] == sym:
-                yield 1, (top._replace(ld=top.ld - 1, k=top.k - 1),), top.k
+            if top.i < top.k and tokens[top.k - 1] == sym:
+                yield 1, top._replace(ld=top.ld - 1, k=top.k - 1), top.k
     return matcher
 
 
 def _make_attach(aug, rightward):
     """Clause 4a/4b: a completed rule directly above a dotted item becomes
     the pending member adjacent to the recognized stretch."""
-    def matcher(stack, ctx):
+    def matcher(stack, tokens):
         if len(stack) < 2:
             return
         top = stack[-1]
@@ -149,12 +149,12 @@ def _make_attach(aug, rightward):
             if below.m != top.k:
                 return
             assert below.m == top.i and below.j == top.j
-            yield 2, (below._replace(rd=below.rd + 1, m=top.m),), None
+            yield 2, below._replace(rd=below.rd + 1, m=top.m), None
         else:
             if below.k != top.m:
                 return
             assert below.k == top.j and below.i == top.i
-            yield 2, (below._replace(ld=below.ld - 1, k=top.k),), None
+            yield 2, below._replace(ld=below.ld - 1, k=top.k), None
     return matcher
 
 
@@ -194,7 +194,7 @@ def build_td(aug: AugmentedGrammar) -> Automaton:
     def make_fin(n):
         return Dotted(-1, -1, aug.start_rule_id, 0, 2, n, n)
 
-    def clause_0(stack, ctx):
+    def clause_0(stack, tokens):
         top = stack[-1]
         if type(top) is not Goal:
             return
@@ -202,10 +202,10 @@ def build_td(aug: AugmentedGrammar) -> Automaton:
         for rid, b in nt_heads_by_lhs.get(top.sym, ()):
             if b not in seen:
                 seen.add(b)
-                yield 1, (top, Goal(top.i, b, top.j)), None
+                yield 0, Goal(top.i, b, top.j), None
 
     def predict_side(rightward):
-        def matcher(stack, ctx):
+        def matcher(stack, tokens):
             top = stack[-1]
             if type(top) is not Dotted:
                 return
@@ -214,13 +214,13 @@ def build_td(aug: AugmentedGrammar) -> Automaton:
                 return
             if rightward:
                 if top.m < top.j:
-                    yield 1, (top, Goal(top.m, sym, top.j)), None
+                    yield 0, Goal(top.m, sym, top.j), None
             else:
                 if top.i < top.k:
-                    yield 1, (top, Goal(top.i, sym, top.k)), None
+                    yield 0, Goal(top.i, sym, top.k), None
         return matcher
 
-    def clause_1(stack, ctx):
+    def clause_1(stack, tokens):
         top = stack[-1]
         if type(top) is not Goal:
             return
@@ -228,12 +228,12 @@ def build_td(aug: AugmentedGrammar) -> Automaton:
         if not candidates:
             return
         for k in range(top.i + 1, top.j + 1):
-            a = ctx.tokens[k - 1]
+            a = tokens[k - 1]
             for rid, h in candidates:
                 if h == a:
-                    yield 1, (_dotted_head(aug, rid, top.i, k - 1, k, top.j),), k
+                    yield 1, _dotted_head(aug, rid, top.i, k - 1, k, top.j), k
 
-    def clause_3(stack, ctx):
+    def clause_3(stack, tokens):
         if len(stack) < 2:
             return
         top = stack[-1]
@@ -246,7 +246,7 @@ def build_td(aug: AugmentedGrammar) -> Automaton:
         b = aug.rules[top.rule].lhs
         for rid, h in nt_heads_by_lhs.get(below.sym, ()):
             if h == b:
-                yield 2, (_dotted_head(aug, rid, below.i, top.k, top.m, below.j),), None
+                yield 2, _dotted_head(aug, rid, below.i, top.k, top.m, below.j), None
 
     clauses = (
         Clause("0", clause_0),
@@ -284,21 +284,21 @@ def build_hc(aug: AugmentedGrammar) -> Automaton:
         return Dotted(-1, -1, aug.start_rule_id, 0, 2, n, n)
 
     def new_head_side(rightward):
-        def matcher(stack, ctx):
+        def matcher(stack, tokens):
             top = stack[-1]
             b = _pending(aug, top, rightward)
             if b is None or b not in nts:
                 return
             lo, hi = (top.m, top.j) if rightward else (top.i, top.k)
             for p in range(lo + 1, hi + 1):
-                a = ctx.tokens[p - 1]
+                a = tokens[p - 1]
                 for rid in t_heads.get(a, ()):
                     if (aug.rules[rid].lhs, b) in pairs:
-                        yield 1, (top, _dotted_head(aug, rid, lo, p - 1, p, hi)), p
+                        yield 0, _dotted_head(aug, rid, lo, p - 1, p, hi), p
         return matcher
 
     def attach_head_side(rightward):
-        def matcher(stack, ctx):
+        def matcher(stack, tokens):
             if len(stack) < 2:
                 return
             top = stack[-1]
@@ -319,7 +319,7 @@ def build_hc(aug: AugmentedGrammar) -> Automaton:
             b = aug.rules[top.rule].lhs
             for rid in nt_heads.get(b, ()):
                 if (aug.rules[rid].lhs, pending) in pairs:
-                    yield 1, (_dotted_head(aug, rid, top.i, top.k, top.m, top.j),), None
+                    yield 1, _dotted_head(aug, rid, top.i, top.k, top.m, top.j), None
         return matcher
 
     clauses = (
@@ -450,50 +450,50 @@ def _build_infix(aug, name, merge_lhs):
     def predict_scan_side(rightward):
         continuations = index.right_nt if rightward else index.left_nt
 
-        def matcher(stack, ctx):
+        def matcher(stack, tokens):
             top = stack[-1]
             targets = _targets(top, continuations)
             if not targets:
                 return
             lo, hi = (top.m, top.j) if rightward else (top.i, top.k)
             for p in range(lo + 1, hi + 1):
-                a = ctx.tokens[p - 1]
+                a = tokens[p - 1]
                 survivors = [c for c in term_lhs.get(a, ())
                              if any((c, b) in pairs for b in targets)]
                 for delta in deltas(survivors):
-                    yield 1, (top, SetInfix(lo, p - 1, delta, (a,), p, hi)), p
+                    yield 0, SetInfix(lo, p - 1, delta, (a,), p, hi), p
         return matcher
 
     def scan_side(rightward):
         extensions = index.right_ext if rightward else index.left_ext
 
-        def matcher(stack, ctx):
+        def matcher(stack, tokens):
             top = stack[-1]
             if rightward:
                 if top.m >= top.j:
                     return
-                a = ctx.tokens[top.m]
+                a = tokens[top.m]
             else:
                 if top.i >= top.k:
                     return
-                a = ctx.tokens[top.k - 1]
+                a = tokens[top.k - 1]
             if a in nts:
                 return
             delta = _extending(top, a, extensions)
             if not delta:
                 return
             if rightward:
-                yield 1, (top._replace(delta=delta, gamma=top.gamma + (a,),
-                                       m=top.m + 1),), top.m + 1
+                yield 1, top._replace(delta=delta, gamma=top.gamma + (a,),
+                                      m=top.m + 1), top.m + 1
             else:
-                yield 1, (top._replace(delta=delta, gamma=(a,) + top.gamma,
-                                       k=top.k - 1),), top.k
+                yield 1, top._replace(delta=delta, gamma=(a,) + top.gamma,
+                                      k=top.k - 1), top.k
         return matcher
 
     def attach_head_side(rightward):
         continuations = index.right_nt if rightward else index.left_nt
 
-        def matcher(stack, ctx):
+        def matcher(stack, tokens):
             if len(stack) < 2:
                 return
             top = stack[-1]
@@ -516,13 +516,13 @@ def _build_infix(aug, name, merge_lhs):
                 survivors = [c for c in nt_lhs.get(b, ())
                              if any((c, a0) in pairs for a0 in targets)]
                 for delta in deltas(survivors):
-                    yield 1, (top._replace(delta=delta, gamma=(b,)),), None
+                    yield 1, top._replace(delta=delta, gamma=(b,)), None
         return matcher
 
     def attach_member_side(rightward):
         extensions = index.right_ext if rightward else index.left_ext
 
-        def matcher(stack, ctx):
+        def matcher(stack, tokens):
             if len(stack) < 2:
                 return
             top = stack[-1]
@@ -539,12 +539,12 @@ def _build_infix(aug, name, merge_lhs):
                     continue
                 if rightward:
                     assert below.m == top.i and below.j == top.j
-                    yield 2, (below._replace(delta=delta, gamma=below.gamma + (b,),
-                                             m=top.m),), None
+                    yield 2, below._replace(delta=delta, gamma=below.gamma + (b,),
+                                            m=top.m), None
                 else:
                     assert below.k == top.j and below.i == top.i
-                    yield 2, (below._replace(delta=delta, gamma=(b,) + below.gamma,
-                                             k=top.k),), None
+                    yield 2, below._replace(delta=delta, gamma=(b,) + below.gamma,
+                                            k=top.k), None
         return matcher
 
     clauses = (

@@ -37,14 +37,13 @@ def explore(automaton, tokens):
     `engine._successors` on whole stacks.  No table, pruning or bounds; a
     case with more than 200,000 states fails instead of hanging."""
     tokens = tuple(tokens)
-    ctx = engine.RunContext(tokens, len(tokens))
     states = {((automaton.make_init(len(tokens)),), frozenset())}
     work = list(states)
     while work:
         stack, consulted = work.pop()
-        for _, matched, replacement, pos in engine._successors(
-                automaton.clauses, stack, ctx):
-            state = (stack[:len(stack) - matched] + replacement,
+        for _, popped, item, pos in engine._successors(
+                automaton.clauses, stack, tokens):
+            state = (stack[:len(stack) - popped] + (item,),
                      consulted if pos is None else consulted | {pos})
             if state not in states:
                 states.add(state)
@@ -60,9 +59,9 @@ def counting_copy(automaton):
     calls = []
 
     def counted(clause):
-        def matcher_calls(window, ctx):
+        def matcher_calls(window, tokens):
             calls.append((clause.label, window))
-            return clause.matcher(window, ctx)
+            return clause.matcher(window, tokens)
         return dataclasses.replace(clause, matcher=matcher_calls)
     return dataclasses.replace(
         automaton, clauses=tuple(map(counted, automaton.clauses))), calls

@@ -121,6 +121,20 @@ def test_non_utf8_grammar_file_exit_code(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: cannot read %s: " % path)
 
 
+@pytest.mark.parametrize("name, text, algorithm, tokens", [
+    ("bom.hg", TINY_HG, "td", "c a b"), ("bom.ghg", DEMO_GHG, "ghi", "a b s")],
+    ids=["hg", "ghg"])
+def test_grammar_file_with_byte_order_mark(name, text, algorithm, tokens, tmp_path,
+                                           capsys):
+    # some editors save UTF-8 with a leading byte order mark
+    path = tmp_path / name
+    path.write_text("\ufeff" + text, encoding="utf-8")
+    code = main(["recognize", "--grammar", str(path), "--algorithm", algorithm,
+                 "--input", tokens])
+    assert code == EXIT_ACCEPT
+    assert capsys.readouterr().out == "%s: accept\n" % algorithm
+
+
 def test_unknown_extension_is_usage_error(tmp_path):
     path = tmp_path / "g.txt"
     path.write_text(TINY_HG, encoding="utf-8")
@@ -203,6 +217,23 @@ def test_closed_stdout_is_a_write_error(form, tmp_path):
     assert err.startswith("error: cannot write stdout: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("form", [["--input", "c a b", "--trace"],
+                                  ["--input", "c \u00e9", "--json"]],
+                         ids=["trace", "json"])
+def test_unencodable_stdout_is_a_write_error(form, tiny_hg_path):
+    # a trace's dots, or a token, that stdout's encoding cannot spell make
+    # a failed write (exit 3), not an internal error
+    src = os.path.dirname(os.path.dirname(headparse.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "headparse", "recognize", "--grammar", tiny_hg_path,
+         "--algorithm", "td"] + form,
+        capture_output=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING="ascii"))
+    assert proc.returncode == EXIT_ERROR
+    err = proc.stderr.decode("ascii")
+    assert err.startswith("error: cannot write stdout: ") and err.count("\n") == 1
+
+
 def test_transform_tau_two_stdout(tiny_hg_path, capsys):
     code = main(["transform", "--tau-two", tiny_hg_path])
     assert code == EXIT_ACCEPT
@@ -268,6 +299,25 @@ def test_compare_requires_grammar_or_random(tiny_hg_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "not allowed with argument" in captured.err
+
+
+@pytest.mark.parametrize("command", [
+    "compare --random 2 --exhaustive",
+    "compare --random 2 --input zz",
+    "compare --random 2 --algorithms td",
+    "compare --random 2 --chars",
+    "compare --random 2 --embed",
+    "compare --grammar {g} --max-len 3",
+    "compare --grammar {g} --seed 0",
+], ids=lambda command: command.split()[3])
+def test_compare_flag_of_the_other_source_is_usage_error(command, tiny_hg_path, capsys):
+    # each source of compare reads its own flags; the other's are not ignored
+    argv = command.format(g=tiny_hg_path).split()
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: %s does not apply to compare %s\n" % (
+        argv[3], argv[1])
 
 
 def test_compare_unknown_algorithm_is_usage_error(tiny_hg_path, capsys):

@@ -145,12 +145,11 @@ def test_consulted_positions_monotone_along_trace(tiny_grammar):
     auto = build_td(augment(tiny_grammar))
     tokens = ("c", "a", "b")
     trace = accepting_trace(run(auto, tokens))
-    ctx = engine.RunContext(tokens, len(tokens))
     cur = trace.initial
     consulted = set()
     for step in trace.steps:
-        for label, matched, replacement, pos in engine._successors(auto.clauses, cur, ctx):
-            if label == step.label and cur[:len(cur) - matched] + replacement == step.stack:
+        for label, popped, item, pos in engine._successors(auto.clauses, cur, tokens):
+            if label == step.label and cur[:len(cur) - popped] + (item,) == step.stack:
                 before = set(consulted)
                 if pos is not None:
                     consulted.add(pos)
@@ -189,26 +188,33 @@ LONG_INPUTS = [tuple(text.split()) for text in (
     "e f", "a b e f c d", "a b a b e f c d c d", "a b a b e f c d c", "a e f d")]
 
 
+def _most_popped(aug, name):
+    """How many items one step of the recognizer may pop: hi's reductions
+    pop a finished rule's members, other steps at most the top and the
+    item below it."""
+    return max(len(r.rhs) for r in aug.rules) if name == "hi" else 2
+
+
 def _window_cases():
-    """(automaton, inputs): every recognizer on a corpus slice, and the
-    flat ones that terminate there on long rules."""
+    """(automaton, inputs, most popped): every recognizer on a corpus
+    slice, and the flat ones that terminate there on long rules."""
     short = all_inputs(("a", "b"), 3)
     for g in head_grammar_corpus(8, seed=803):
         aug = augment(g)
         for name, builder in FLAT_BUILDERS.items():
             if eligible(aug, name):
-                yield builder(aug), short
+                yield builder(aug), short, _most_popped(aug, name)
     for g in gen_grammar_corpus(6, seed=804):
         if gen_eligible(g):
-            yield build_ghi(g), short
+            yield build_ghi(g), short, 2
     aug = augment(LONG_RULES)
     for name, builder in FLAT_BUILDERS.items():
         if eligible(aug, name):
-            yield builder(aug), LONG_INPUTS
+            yield builder(aug), LONG_INPUTS, _most_popped(aug, name)
 
 
-def _steps(clauses, stack, ctx):
-    return list(engine._successors(clauses, stack, ctx))
+def _steps(clauses, stack, tokens):
+    return list(engine._successors(clauses, stack, tokens))
 
 
 def _planned(automaton, top):
@@ -221,33 +227,39 @@ def _planned(automaton, top):
 def test_clauses_read_only_their_window():
     # the steps of a stack are a function of its top `reach` items, which
     # is what lets one run share them between stacks, and the clauses its
-    # plan leaves out find none of them
+    # plan leaves out find none of them; every step pops items of the
+    # window and pushes one, popping no more than the recognizer allows
     deepest = {}
+    popped_most = {}
     checked = 0
-    for automaton, inputs in _window_cases():
+    for automaton, inputs, most in _window_cases():
+        name = automaton.name
         for tokens in inputs:
-            ctx = engine.RunContext(tokens, len(tokens))
             stacks = explore(automaton, tokens).stacks
             result = run(automaton, tokens, exhaustive=True)
             assert result.stats.configurations_explored == len(stacks)
             for stack in stacks:
                 reach, planned = _planned(automaton, stack[-1])
                 window = stack[-reach:]
-                steps = _steps(automaton.clauses, window, ctx)
-                assert _steps(automaton.clauses, stack, ctx) == steps
-                assert _steps(planned, window, ctx) == steps
-                deepest[automaton.name] = max(deepest.get(automaton.name, 0), reach)
+                steps = _steps(automaton.clauses, window, tokens)
+                assert _steps(automaton.clauses, stack, tokens) == steps
+                assert _steps(planned, window, tokens) == steps
+                for _, popped, _, _ in steps:
+                    assert 0 <= popped <= len(window) and popped <= most
+                    popped_most[name] = max(popped_most.get(name, 0), popped)
+                deepest[name] = max(deepest.get(name, 0), reach)
                 checked += 1
     assert checked > 1000
     # only a finished item reads below the top; hi's five-member rule in
-    # LONG_RULES reads six items
+    # LONG_RULES reads six items and pops five
     assert deepest == {"td": 2, "hc": 2, "phi": 2, "ehi": 2, "hi": 6, "ghi": 2}
+    assert popped_most == {"td": 2, "hc": 2, "phi": 2, "ehi": 2, "hi": 5, "ghi": 2}
 
 
 def test_matchers_run_only_as_planned():
     # a copy with wrapped matchers, as a tracer that times them makes it,
     # calls each planned clause at most once per window and no other
-    for automaton, inputs in _window_cases():
+    for automaton, inputs, _ in _window_cases():
         for tokens in inputs:
             _, calls = _counted_run(automaton, tokens)
             for (label, window), count in Counter(calls).items():

@@ -182,9 +182,9 @@ def test_ghi_clause_labels():
 def test_empty_subtree_conversions_confluent(tree_demo_grammar):
     # a leaf tree may drop its (absent) subtrees in either order; both
     # orders funnel into the same completed items
-    from headparse.engine import RunContext, _successors
+    from headparse.engine import _successors
     auto = build_ghi(tree_demo_grammar)
-    ctx = RunContext(("a",), 1)
+    tokens = ("a",)
     leaf_full = FullItem(0, 0, frozenset({Tree("a")}), 1, 1)
     stack = (auto.make_init(1), leaf_full)
 
@@ -192,14 +192,14 @@ def test_empty_subtree_conversions_confluent(tree_demo_grammar):
         if depth == 0 or type(cfg[-1]) is DoneItem:
             return {cfg[-1]} if type(cfg[-1]) is DoneItem else set()
         out = set()
-        for label, matched, replacement, _ in _successors(auto.clauses, cfg, ctx):
+        for label, popped, item, _ in _successors(auto.clauses, cfg, tokens):
             if label in ("1a", "1b", "1c", "1d"):
-                out |= outcomes(cfg[:len(cfg) - matched] + replacement, depth - 1)
+                out |= outcomes(cfg[:len(cfg) - popped] + (item,), depth - 1)
         return out
 
     via_both_orders = outcomes(stack, 2)
     assert via_both_orders == {DoneItem(0, Tree("a"), 1)}
     # and both intermediate shapes really occur
     first_steps = {label for label, _, _, _ in
-                   _successors(auto.clauses, stack, ctx) if label in ("1a", "1b")}
+                   _successors(auto.clauses, stack, tokens) if label in ("1a", "1b")}
     assert first_steps == {"1a", "1b"}
