@@ -8,10 +8,10 @@ step.  The engine explores the resulting configuration space depth first,
 taking clauses in their listed order and input positions in ascending
 order, so runs and traces are reproducible.  Stacks already seen (a plain
 visited set) are pruned: transitions read only the stack, the input, and
-indexes stored inside items, so equal stacks have equal futures.  Pruning plus explicit step/depth bounds turn
-would-be infinite searches into either pruned duplicates or a distinct
-resource-limit verdict; they never affect accept/reject outcomes on
-searches that terminate.
+indexes stored inside items, so equal stacks have equal futures.  Pruning
+plus explicit step/depth bounds turn would-be infinite searches into either
+pruned duplicates or a distinct resource-limit verdict; they never affect
+accept/reject outcomes on searches that terminate.
 
 Every clause reads at most the top few items of a stack, its *window*,
 and the automaton's `plan(top)` says how many and which clauses can fire,
@@ -32,6 +32,15 @@ accepts early never computes steps it does not take.  The tables live for
 one run; they are the transition relation of the automaton on that input,
 restricted to the windows the search reached.
 
+A clause that predicts a head scans a span of the input for tokens that
+can start one.  Like an LR parser looking up its action by lookahead, it
+asks `positions` for the span's positions whose token lies in a head set
+the builder memoises per grammar state, so it visits only those, in
+ascending order, and still tests each one itself.  `run` and `replay`
+pause Python's cyclic collector for their span: a run allocates only
+tuples and generators that form no cycles, and the collector would keep
+scanning them.
+
 Items carry the -1-based input positions used throughout this toolkit
 directly (the bottom marker occupies the span (-1, 0]), with no internal
 shifting, so printed traces read exactly like the items themselves.
@@ -45,8 +54,11 @@ else the widest any path reached.
 
 from __future__ import annotations
 
+import gc
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import wraps
 from typing import Callable, NamedTuple, Optional
 
 
@@ -146,6 +158,54 @@ def default_max_depth(n, size_hint):
     return 16 * (n + 2) * (rules + nonterminals)
 
 
+# (tokens, {head set: positions of its tokens}) for the last tokens seen;
+# holding the tokens keeps their id from being reused while the slot names
+# them, and threads that race on the slot only rebuild lists
+_index = (None, {})
+
+
+def positions(tokens, heads, lo, hi):
+    """The positions p in (lo, hi] whose token `tokens[p - 1]` is in `heads`,
+    lazily and in ascending order.
+
+    Each head set's positions are listed once per tokens tuple and cut to
+    the span by bisection, so a clause's scan costs the positions it visits,
+    not the span's length.  A sequence other than a tuple may change, so its
+    lists last for one call.
+    """
+    global _index
+    slot = _index
+    if slot[0] is not tokens:
+        slot = (tokens, {})
+        if type(tokens) is tuple:
+            _index = slot
+    lists = slot[1]
+    where = lists.get(heads)
+    if where is None:
+        where = lists[heads] = [p for p, a in enumerate(tokens, 1) if a in heads]
+    return map(where.__getitem__,
+               range(bisect_right(where, lo), bisect_right(where, hi)))
+
+
+def _collector_paused(function):
+    """`function` with Python's cyclic collector switched off while it runs,
+    and put back as it was found when it returns or raises.
+
+    A run that overlaps one in another thread may find the collector off
+    already, and then leaves it off; the run that found it on switches it
+    back on, so once all have returned it is as the first one found it."""
+    @wraps(function)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return function(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+    return paused
+
+
 def _successors(clauses, stack, tokens):
     """Every step (label, popped, item, consulted) the clauses allow on
     `stack`, computed afresh: what the run's table records and replays."""
@@ -167,6 +227,7 @@ def _recorded(clauses, window, tokens, table, key):
     table[key] = steps
 
 
+@_collector_paused
 def run(automaton: Automaton, tokens, *, max_steps: int = 1_000_000,
         max_depth: Optional[int] = None, exhaustive: bool = False) -> RunResult:
     """Search the automaton's configuration space on the given input.
@@ -308,6 +369,7 @@ def accepting_trace(result: RunResult) -> Trace:
     return result.accepting_trace
 
 
+@_collector_paused
 def replay(automaton: Automaton, tokens, trace: Trace) -> bool:
     """Re-derive every trace step from the initial stack.
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 from functools import cache, partial
 from typing import NamedTuple, Optional, Union
 
-from .engine import Automaton, Clause
+from .engine import Automaton, Clause, positions
 from .grammar import fresh_markers
 from .transform import (GenHeadGrammar, GenHeadRule, Tree, bracket_symbol,
                         tree_to_text)
@@ -178,6 +178,11 @@ def build_ghi(g: GenHeadGrammar) -> Automaton:
     def ordered(q):
         return tuple(sorted(q, key=sort_key))
 
+    @cache
+    def scan_heads(q):
+        """The terminals that `goto` selects a member of `q` by."""
+        return frozenset(_tree_of(e).root for e in q) - nts
+
     def make_init(n):
         return RightOpenItem(-1, frozenset((start_rule,)), 0, n)
 
@@ -219,7 +224,7 @@ def build_ghi(g: GenHeadGrammar) -> Automaton:
                 return
             base = side_set[rightward](top.q)
             lo, hi = (top.m, top.j) if rightward else (top.i, top.k)
-            for p in range(lo + 1, hi + 1):
+            for p in positions(tokens, scan_heads(base), lo, hi):
                 a = tokens[p - 1]
                 if a in nts:  # a token that spells a nonterminal matches nothing
                     continue

@@ -22,7 +22,7 @@ from __future__ import annotations
 from functools import cache, partial
 from typing import NamedTuple
 
-from .engine import Automaton, Clause
+from .engine import Automaton, Clause, positions
 from .grammar import FULL, LEFT, RIGHT, AugmentedGrammar, head_corner
 
 
@@ -160,15 +160,22 @@ def build_hi(aug: AugmentedGrammar) -> Automaton:
     def new_head_side(rightward):
         goto = goto1[rightward]
 
+        @cache
+        def heads_for(q):
+            """The terminals whose fresh-head goto from `q` is not empty."""
+            return frozenset(x for x in aug.rules_with_terminal_head if goto(q, x))
+
         def matcher(stack, tokens):
             top = stack[-1]
+            heads = heads_for(top.q)
+            # the position next to the recognized span is clause 2's job
             if rightward:
                 lo, hi = top.m, top.j
-                positions = range(top.m + 2, top.j + 1)  # adjacency is clause 2's job
+                found = positions(tokens, heads, top.m + 1, top.j)
             else:
                 lo, hi = top.i, top.k
-                positions = range(top.i + 1, top.k)
-            for p in positions:
+                found = positions(tokens, heads, top.i, top.k - 1)
+            for p in found:
                 a = tokens[p - 1]
                 if a in nts:  # a token that spells a nonterminal matches nothing
                     continue

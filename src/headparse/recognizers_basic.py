@@ -31,9 +31,10 @@ appear, its inner span (k, m] is what has been recognized already.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import NamedTuple
 
-from .engine import Automaton, Clause
+from .engine import Automaton, Clause, positions
 from .grammar import FULL, AugmentedGrammar, head_corner
 
 
@@ -187,6 +188,9 @@ def build_td(aug: AugmentedGrammar) -> Automaton:
         h = r.rhs[r.head]
         target = nt_heads_by_lhs if h in nts else t_heads_by_lhs
         target.setdefault(r.lhs, []).append((rid, h))
+    # goal symbol -> the terminals that head one of its rules
+    t_head_set = {b: frozenset(h for _, h in candidates)
+                  for b, candidates in t_heads_by_lhs.items()}
 
     def make_init(n):
         return Dotted(-1, -1, aug.start_rule_id, 0, 1, 0, n)
@@ -227,7 +231,7 @@ def build_td(aug: AugmentedGrammar) -> Automaton:
         candidates = t_heads_by_lhs.get(top.sym, ())
         if not candidates:
             return
-        for k in range(top.i + 1, top.j + 1):
+        for k in positions(tokens, t_head_set[top.sym], top.i, top.j):
             a = tokens[k - 1]
             for rid, h in candidates:
                 if h == a:
@@ -283,6 +287,13 @@ def build_hc(aug: AugmentedGrammar) -> Automaton:
     def make_fin(n):
         return Dotted(-1, -1, aug.start_rule_id, 0, 2, n, n)
 
+    @cache
+    def heads_for(b):
+        """The terminals that head a rule whose left-hand side is a head
+        corner of `b`."""
+        return frozenset(a for a, rids in t_heads.items()
+                         if any((aug.rules[rid].lhs, b) in pairs for rid in rids))
+
     def new_head_side(rightward):
         def matcher(stack, tokens):
             top = stack[-1]
@@ -290,7 +301,7 @@ def build_hc(aug: AugmentedGrammar) -> Automaton:
             if b is None or b not in nts:
                 return
             lo, hi = (top.m, top.j) if rightward else (top.i, top.k)
-            for p in range(lo + 1, hi + 1):
+            for p in positions(tokens, heads_for(b), lo, hi):
                 a = tokens[p - 1]
                 for rid in t_heads.get(a, ()):
                     if (aug.rules[rid].lhs, b) in pairs:
@@ -423,10 +434,10 @@ def _build_infix(aug, name, merge_lhs):
         return SetInfix(-1, -1, single[aug.start_prime],
                         (aug.bottom, aug.start), n, n)
 
-    def _targets(item, continuations):
+    def _targets(delta, gamma, continuations):
         out = set()
-        for a in item.delta:
-            out.update(continuations.get((a, item.gamma), ()))
+        for a in delta:
+            out.update(continuations.get((a, gamma), ()))
         return out
 
     def _extending(item, sym, extensions):
@@ -450,13 +461,23 @@ def _build_infix(aug, name, merge_lhs):
     def predict_scan_side(rightward):
         continuations = index.right_nt if rightward else index.left_nt
 
+        @cache
+        def predicted(delta, gamma):
+            """The nonterminals an item may extend `gamma` with on this
+            side, and the terminals that head a rule of a head corner of
+            one of them."""
+            targets = frozenset(_targets(delta, gamma, continuations))
+            return targets, frozenset(
+                a for a, lhss in term_lhs.items()
+                if any((c, b) in pairs for c in lhss for b in targets))
+
         def matcher(stack, tokens):
             top = stack[-1]
-            targets = _targets(top, continuations)
+            targets, heads = predicted(top.delta, top.gamma)
             if not targets:
                 return
             lo, hi = (top.m, top.j) if rightward else (top.i, top.k)
-            for p in range(lo + 1, hi + 1):
+            for p in positions(tokens, heads, lo, hi):
                 a = tokens[p - 1]
                 survivors = [c for c in term_lhs.get(a, ())
                              if any((c, b) in pairs for b in targets)]
@@ -501,7 +522,7 @@ def _build_infix(aug, name, merge_lhs):
             if not done:
                 return
             below = stack[-2]
-            targets = _targets(below, continuations)
+            targets = _targets(below.delta, below.gamma, continuations)
             if not targets:
                 return
             if rightward:

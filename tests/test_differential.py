@@ -1,5 +1,7 @@
+import random
+
 from headparse import Verdict, differential
-from headparse.corpus import all_inputs, head_grammar_corpus
+from headparse.corpus import all_inputs, head_grammar_corpus, random_head_grammar
 from headparse.oracle import enumerate_language
 from headparse.transform import embed
 from conftest import hg
@@ -73,3 +75,18 @@ def test_tokens_spelling_a_nonterminal_match_nothing():
         assert data.mismatches == []
         runs += data.eligible_runs + data.opportunistic_runs
     assert runs == 677 + 5 * 2494  # td where not head-recursive, the rest always
+
+
+def test_check_agrees_over_three_terminals_and_a_nonterminal_token():
+    # over {a, b} most head sets hold every token; with c, and with S as a
+    # token, the head sets that prediction scans by leave tokens out
+    rng = random.Random(1401)
+    corpus = []
+    for _ in range(12):
+        g = random_head_grammar(rng, terminals=("a", "b", "c"))
+        language = enumerate_language(g, 3)
+        corpus += [(g, language), (embed(g), language)]
+    data = differential.check(corpus, all_inputs(("a", "b", "c", "S"), 3),
+                              max_steps=200_000)
+    assert data.mismatches == [] and data.limit_hits == []
+    assert (data.eligible_runs, data.opportunistic_runs) == (4590, 850)

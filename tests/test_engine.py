@@ -1,4 +1,7 @@
 import dataclasses
+import gc
+import sys
+import threading
 from collections import Counter
 
 import pytest
@@ -307,3 +310,83 @@ def test_hi_windows_are_sized_by_the_top_item():
     fixed = {stack[-3:] for stack in stacks}
     assert len(calls) <= len(automaton.clauses) * len(windows)
     assert len(calls) < len(automaton.clauses) * len(fixed) / 2
+
+
+def _with_matchers(automaton, wrap):
+    return dataclasses.replace(automaton, clauses=tuple(
+        dataclasses.replace(clause, matcher=wrap(clause.matcher))
+        for clause in automaton.clauses))
+
+
+@pytest.fixture
+def collector():
+    """Puts the cyclic collector back as the test found it."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_and_replay_leave_the_collector_as_they_found_it(
+        tiny_grammar, collector, enabled):
+    (gc.enable if enabled else gc.disable)()
+    automaton = build_td(augment(tiny_grammar))
+    tokens = ("c", "a", "b")
+    during = []
+
+    def watched(matcher):
+        def watch(window, tokens):
+            during.append(gc.isenabled())
+            return matcher(window, tokens)
+        return watch
+    watching = _with_matchers(automaton, watched)
+    trace = accepting_trace(run(watching, tokens))
+    assert gc.isenabled() is enabled
+    assert replay(watching, tokens, trace)
+    assert gc.isenabled() is enabled
+    assert during and not any(during)  # paused inside both
+
+    def broken(matcher):
+        def fail(window, tokens):
+            raise RuntimeError("matcher failed")
+        return fail
+    failing = _with_matchers(automaton, broken)
+    with pytest.raises(RuntimeError, match="matcher failed"):
+        run(failing, tokens)
+    assert gc.isenabled() is enabled
+    with pytest.raises(RuntimeError, match="matcher failed"):
+        replay(failing, tokens, trace)
+    assert gc.isenabled() is enabled
+
+
+def test_concurrent_runs_agree_with_serial_ones(collector):
+    # threads share the collector pause and the token index's one slot;
+    # alternating inputs must each see their own positions, and the
+    # collector is on again once all runs have returned
+    gc.enable()
+    automaton = build_hc(augment(hg("S", ("S", "*a S b"), ("S", "*c"))))
+    inputs = [("a",) * k + ("c",) + ("b",) * (k - miss)
+              for k in range(1, 7) for miss in (0, 1)]
+    expected = [run(automaton, tokens).stats for tokens in inputs]
+    failures = []
+
+    def worker(offset):
+        order = list(range(offset, len(inputs))) + list(range(offset))
+        for _ in range(5):
+            for at in order:
+                if run(automaton, inputs[at]).stats != expected[at]:
+                    failures.append(inputs[at])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(offset,))
+                   for offset in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    assert gc.isenabled()
