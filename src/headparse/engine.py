@@ -45,11 +45,14 @@ Items carry the -1-based input positions used throughout this toolkit
 directly (the bottom marker occupies the span (-1, 0]), with no internal
 shifting, so printed traces read exactly like the items themselves.
 
-Each search path carries its trace link and the input positions its
-scanning steps consulted on its agenda entry, not in a map keyed by
-stack, so sets of different branches never merge and only open paths and
-the accepting one hold links.  A run reports the accepting path's set, or
-else the widest any path reached.
+A trace is the steps a run applied, as an LR parser records a parse as
+its actions: (clause label, items popped, item pushed), and a stack is
+rebuilt by applying them to the initial one.  Each search path carries
+its trace link (the recorded step and its parent's link, no stack) and
+the input positions its scanning steps consulted on its agenda entry, not
+in a map keyed by stack, so sets of different branches never merge and
+only open paths and the accepting one hold links.  A run reports the
+accepting path's set, or else the widest any path reached.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ import gc
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import wraps
+from functools import cache, wraps
 from typing import Callable, NamedTuple, Optional
 
 
@@ -104,6 +107,8 @@ class Automaton:
     # pops its initial item and merges live alternatives into the final
     # item's set, so it accepts on [init, item-containing-fin]).
     make_accepting: Optional[Callable] = None
+    # `collapse_rows(steps)` maps a trace's steps to its display rows,
+    # `(label, steps)` in order; None gives each step a row of its own.
     collapse_rows: Optional[Callable] = None
     # `plan(top) -> (reach, labels)`: when `top` is the top item, the
     # clauses read the top `reach` items, and only those labelled in
@@ -123,12 +128,16 @@ class Automaton:
 
 
 class TraceStep(NamedTuple):
+    """One step a run applied: the clause labelled `label` popped the top
+    `popped` items of the stack, then pushed `item`."""
     label: str
-    stack: tuple
+    popped: int
+    item: object
 
 
 @dataclass(frozen=True)
 class Trace:
+    """A run from the stack `initial` by `steps`, its TraceSteps in order."""
     initial: tuple
     steps: tuple
 
@@ -290,7 +299,7 @@ def run(automaton: Automaton, tokens, *, max_steps: int = 1_000_000,
     widest = frozenset()
 
     # agenda entries: (stack, consulted set, its steps, its link), a link
-    # being (stack, clause label, link of the parent stack) or None
+    # being (the step that made the stack, link of the parent stack) or None
     agenda = [(start, frozenset(), pull(start) or iter(()), None)]
     while agenda:
         cfg, base, successors, link = agenda[-1]
@@ -299,10 +308,10 @@ def run(automaton: Automaton, tokens, *, max_steps: int = 1_000_000,
             agenda.pop()
             continue
         label, popped, pushed, pos = step
-        applications += 1
-        if applications > max_steps:
+        if applications >= max_steps:
             limit_kind = "steps"
             break
+        applications += 1
         # a push slices the whole stack, which is the stack itself
         new_cfg = cfg[:len(cfg) - popped] + pushed
         if len(new_cfg) > max_depth:
@@ -315,7 +324,7 @@ def run(automaton: Automaton, tokens, *, max_steps: int = 1_000_000,
             duplicates += 1
             continue
         explored += 1
-        new_link = (new_cfg, label, link)
+        new_link = (step, link)
         new_consulted = base if pos is None else base | {pos}
         if new_consulted is not base:
             size = len(new_consulted)
@@ -357,8 +366,8 @@ def _build_trace(initial, link):
     """The trace that ends at `link`'s stack, read off the link chain."""
     steps = []
     while link is not None:
-        stack, label, link = link
-        steps.append(TraceStep(label, stack))
+        (label, popped, pushed, _), link = link
+        steps.append(TraceStep(label, popped, pushed[0]))
     steps.reverse()
     return Trace(initial, tuple(steps))
 
@@ -373,65 +382,42 @@ def accepting_trace(result: RunResult) -> Trace:
 def replay(automaton: Automaton, tokens, trace: Trace) -> bool:
     """Re-derive every trace step from the initial stack.
 
-    True when each recorded (label, stack) pair is producible by one clause
-    application from its predecessor and the final stack is accepting.
+    True when the clause each step names yields exactly its (popped, item)
+    on the window `plan` sizes for the stack so far, and the stack the
+    steps end on is accepting.
     """
     tokens = tuple(tokens)
     n = len(tokens)
     if trace.initial != (automaton.make_init(n),):
         return False
     matchers = {clause.label: clause.matcher for clause in automaton.clauses}
-    cur = trace.initial
-    for step in trace.steps:
-        matcher = matchers.get(step.label)
+    cur = list(trace.initial)
+    for label, popped, item in trace.steps:
+        matcher = matchers.get(label)
+        window = tuple(cur[-automaton.plan(cur[-1])[0]:])
         if matcher is None or not any(
-                cur[:len(cur) - popped] + (item,) == step.stack
-                for popped, item, _ in matcher(
-                    cur[-automaton.plan(cur[-1])[0]:], tokens)):
+                (found, pushed) == (popped, item)
+                for found, pushed, _ in matcher(window, tokens)):
             return False
-        cur = step.stack
-    return automaton.accepting_predicate(n)(cur)
+        del cur[len(cur) - popped:]
+        cur.append(item)
+    return automaton.accepting_predicate(n)(tuple(cur))
 
 
 def trace_rows(automaton: Automaton, trace: Trace):
-    """(label, stack) display rows; follows the automaton's row-merging
+    """(label, steps) display rows; follows the automaton's row-merging
     convention when it has one (the tree recognizer merges the two
     empty-subtree conversions that finish a bare tree into a single row)."""
     if automaton.collapse_rows is not None:
         return list(automaton.collapse_rows(trace.steps))
-    return [(s.label, s.stack) for s in trace.steps]
-
-
-class _ItemTexts(dict):
-    """item -> `render(item)`, each distinct item rendered on first use."""
-
-    def __init__(self, render):
-        super().__init__()
-        self.render = render
-
-    def __missing__(self, item):
-        text = self[item] = self.render(item)
-        return text
-
-
-def _shared_prefix(prev, stack) -> int:
-    """How many bottom items two stacks have in common.
-
-    The count falls from the shorter length one item at a time, comparing
-    whole prefixes, so nothing rests on how the two stacks came about.  The
-    Python-level work is one comparison per changed item of the shorter
-    stack, plus one; the items themselves are compared in C.
-    """
-    shared = min(len(prev), len(stack))
-    while prev[:shared] != stack[:shared]:
-        shared -= 1
-    return shared
+    return [(step.label, (step,)) for step in trace.steps]
 
 
 def _row_changes(automaton: Automaton, trace: Trace):
     """(label, shared, new texts) per display row, the initial stack first
     with label None: the row's stack keeps the first `shared` items of the
-    row before it, and `new texts` render the items above them.
+    row before it, the smallest depth its steps pop down to, and `new
+    texts` render the items above them.
 
     So each row costs item work only for what changed, and the texts come
     from a memo that lives for this call: a trace k deep renders O(k)
@@ -442,12 +428,16 @@ def _row_changes(automaton: Automaton, trace: Trace):
     in where the frozenset sits), so NamedTuples of two classes never
     compare equal.
     """
-    texts = _ItemTexts(automaton.render_item)
-    prev = ()
-    for label, stack in [(None, trace.initial)] + trace_rows(automaton, trace):
-        shared = _shared_prefix(prev, stack)
-        yield label, shared, [texts[item] for item in stack[shared:]]
-        prev = stack
+    text = cache(automaton.render_item)
+    stack = list(trace.initial)
+    yield None, 0, list(map(text, stack))
+    for label, steps in trace_rows(automaton, trace):
+        shared = len(stack)
+        for step in steps:
+            del stack[len(stack) - step.popped:]
+            shared = min(shared, len(stack))
+            stack.append(step.item)
+        yield label, shared, list(map(text, stack[shared:]))
 
 
 def render_trace_text(automaton: Automaton, trace: Trace) -> str:

@@ -312,12 +312,12 @@ def build_ghi(g: GenHeadGrammar) -> Automaton:
             step = steps[idx]
             if (step.label == "1a" and idx + 1 < len(steps)
                     and steps[idx + 1].label == "1d"
-                    and type(steps[idx + 1].stack[-1]) is DoneItem
-                    and not isinstance(steps[idx + 1].stack[-1].t, GenHeadRule)):
-                rows.append(("1a, 1d", steps[idx + 1].stack))
+                    and type(steps[idx + 1].item) is DoneItem
+                    and not isinstance(steps[idx + 1].item.t, GenHeadRule)):
+                rows.append(("1a, 1d", steps[idx:idx + 2]))
                 idx += 2
             else:
-                rows.append((step.label, step.stack))
+                rows.append((step.label, (step,)))
                 idx += 1
         return rows
 

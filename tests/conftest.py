@@ -86,7 +86,21 @@ def reference_trace_records(automaton, trace):
 
 
 def _display_rows(automaton, trace):
-    return [(None, trace.initial)] + engine.trace_rows(automaton, trace)
+    """(label, stack) per display row, the initial stack first."""
+    rows = [(None, trace.initial)]
+    for label, steps in engine.trace_rows(automaton, trace):
+        rows.append((label, trace_stacks(rows[-1][1], steps)[-1]))
+    return rows
+
+
+def trace_stacks(initial, steps):
+    """The stacks a trace passes through: `initial`, then the stack after
+    each step, made by popping `step.popped` items and pushing `step.item`."""
+    stacks = [tuple(initial)]
+    for step in steps:
+        stack = stacks[-1]
+        stacks.append(stack[:len(stack) - step.popped] + (step.item,))
+    return stacks
 
 
 def run_verdict(automaton, tokens, **kwargs):

@@ -174,6 +174,8 @@ def test_json_stats_name_the_bound(bound, kind, tiny_hg_path, capsys):
     assert code == (EXIT_LIMIT if bound else EXIT_ACCEPT)
     stats = json.loads(capsys.readouterr().out)["stats"]
     assert (stats["limit_hit"], stats["limit_kind"]) == (bound is not None, kind)
+    # the bound allowed one step; the one pulled after it is not counted
+    assert bound is None or stats["clause_applications"] == 1
 
 
 def test_transform_tau_head_output_reparses(demo_ghg_path, tmp_path, capsys):

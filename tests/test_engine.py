@@ -13,7 +13,7 @@ from headparse import (EngineError, Verdict, accepting_trace, augment,
 from headparse.corpus import (all_inputs, eligible, gen_eligible,
                               gen_grammar_corpus, head_grammar_corpus)
 from headparse.recognizers_basic import build_td
-from conftest import FLAT_BUILDERS, counting_copy, explore, hg
+from conftest import FLAT_BUILDERS, counting_copy, explore, hg, trace_stacks
 
 
 def test_td_accepts_single_terminal():
@@ -74,13 +74,23 @@ def test_limit_kind_names_the_bound():
     assert (clean.stats.limit_hit, clean.stats.limit_kind) == (False, None)
 
 
+@pytest.mark.parametrize("bound", [0, 1, 3, 50])
+def test_step_bound_counts_the_steps_it_allowed(bound):
+    # the step pulled past the bound ends the search and is not counted
+    auto = build_td(augment(hg("S", ("S", "*S a"), ("S", "*b"))))
+    result = run(auto, ("b", "a", "a"), max_depth=10, max_steps=bound)
+    assert result.verdict is Verdict.RESOURCE_LIMIT
+    assert result.stats.limit_kind == "steps"
+    assert result.stats.clause_applications == bound
+
+
 def test_accepting_trace_replays(tiny_grammar):
     auto = build_td(augment(tiny_grammar))
     tokens = ("c", "a", "b")
     result = run(auto, tokens)
     trace = accepting_trace(result)
     assert replay(auto, tokens, trace)
-    assert trace.steps[-1].stack == (auto.make_fin(3),)
+    assert trace_stacks(trace.initial, trace.steps)[-1] == (auto.make_fin(3),)
 
 
 def test_accepting_trace_raises_without_accept(tiny_grammar):
@@ -109,7 +119,7 @@ def test_trace_output_renders_each_distinct_item_once(name):
         rhs = "a *S b" if name == "hi" else "*a S b"
         automaton = FLAT_BUILDERS[name](augment(hg("S", ("S", rhs), ("S", "*c"))))
     trace = accepting_trace(run(automaton, ("a",) * 15 + ("c",) + ("b",) * 15))
-    distinct = set(trace.initial).union(*(step.stack for step in trace.steps))
+    distinct = set().union(*trace_stacks(trace.initial, trace.steps))
     calls = []
 
     def render_item(item):
@@ -148,17 +158,15 @@ def test_consulted_positions_monotone_along_trace(tiny_grammar):
     auto = build_td(augment(tiny_grammar))
     tokens = ("c", "a", "b")
     trace = accepting_trace(run(auto, tokens))
-    cur = trace.initial
     consulted = set()
-    for step in trace.steps:
+    for step, cur in zip(trace.steps, trace_stacks(trace.initial, trace.steps)):
         for label, popped, item, pos in engine._successors(auto.clauses, cur, tokens):
-            if label == step.label and cur[:len(cur) - popped] + (item,) == step.stack:
+            if (label, popped, item) == step:
                 before = set(consulted)
                 if pos is not None:
                     consulted.add(pos)
                 assert before <= consulted
                 break
-        cur = step.stack
     result = run(auto, tokens)
     assert result.stats.consulted_positions == frozenset(consulted)
     assert result.stats.consulted_positions <= set(range(1, len(tokens) + 1))

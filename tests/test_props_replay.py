@@ -1,5 +1,7 @@
 """Property group: every accepting trace replays from the initial stack."""
 
+import dataclasses
+
 from headparse import Verdict, augment, replay, run
 from headparse.corpus import (all_inputs, eligible, gen_eligible,
                               gen_grammar_corpus, head_grammar_corpus)
@@ -43,18 +45,26 @@ def test_ghi_accepting_traces_replay():
 
 
 def test_replay_rejects_tampered_traces(tiny_grammar):
-    from headparse.engine import Trace, TraceStep
+    from headparse.engine import Trace
     auto = build_td(augment(tiny_grammar))
     tokens = ("c", "a", "b")
     trace = run(auto, tokens).accepting_trace
+    first = trace.steps[0]
+
+    def with_first(**fields):
+        return Trace(trace.initial, (first._replace(**fields),) + trace.steps[1:])
     # wrong label on the first step
-    bad = Trace(trace.initial,
-                (TraceStep("2a", trace.steps[0].stack),) + trace.steps[1:])
-    assert not replay(auto, tokens, bad)
+    assert not replay(auto, tokens, with_first(label="2a"))
     # a label no clause of the automaton carries
-    unknown = Trace(trace.initial,
-                    (TraceStep("9z", trace.steps[0].stack),) + trace.steps[1:])
-    assert not replay(auto, tokens, unknown)
+    assert not replay(auto, tokens, with_first(label="9z"))
+    # the right label, but a pop count or an item its clause does not yield;
+    # where every stack accepts, only the step itself can reject the trace
+    lenient = dataclasses.replace(auto, make_accepting=lambda n: lambda stack: True)
+    assert replay(lenient, tokens, Trace(trace.initial, (first,)))
+    assert trace.steps[-1].item != first.item
+    for wrong in ({"popped": first.popped + 1}, {"item": trace.steps[-1].item}):
+        assert not replay(lenient, tokens, Trace(trace.initial,
+                                                 (first._replace(**wrong),)))
     # dropped final step: end stack is not accepting
     short = Trace(trace.initial, trace.steps[:-1])
     assert not replay(auto, tokens, short)

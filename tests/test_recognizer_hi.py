@@ -4,7 +4,7 @@ from headparse.oracle import enumerate_language
 from headparse.recognizer_hi import (build_hi, compute_relations, gotoleft1,
                                      gotoleft2, gotoright1, gotoright2)
 from headparse.recognizers_basic import build_hc
-from conftest import accepts, hg
+from conftest import accepts, hg, trace_stacks
 
 
 def _setup(g):
@@ -128,19 +128,24 @@ def test_hi_close_to_ehi_when_corners_sparse():
 
 
 def test_hi_reductions_pop_whole_member_chains(tiny_grammar):
-    auto = build_hi(augment(tiny_grammar))
+    aug = augment(tiny_grammar)
+    auto = build_hi(aug)
     tokens = ("c", "a", "b")
     result = run(auto, tokens)
     assert result.verdict is Verdict.ACCEPT
-    # replay and measure stack-depth changes per reduction step
-    depth = 1
-    for step in result.accepting_trace.steps:
-        new_depth = len(step.stack)
+    # a reduction pops the members of a rule finished in the set of the
+    # top it reduced; every other step pushes on top
+    trace = result.accepting_trace
+    reductions = 0
+    for step, stack in zip(trace.steps, trace_stacks(trace.initial, trace.steps)):
         if step.label in ("3a", "3b", "4a", "4b"):
-            assert new_depth <= depth
+            finished = {len(aug.rules[rid].rhs) for rid, ld, rd in stack[-1].q
+                        if ld == 0 and rd == len(aug.rules[rid].rhs)}
+            assert step.popped in finished
+            reductions += 1
         else:
-            assert new_depth == depth + 1
-        depth = new_depth
+            assert step.popped == 0
+    assert reductions > 0
 
 
 def test_hi_agrees_with_hc(tiny_grammar):

@@ -4,7 +4,7 @@
 before it; `conftest.reference_trace_text` and
 `conftest.reference_trace_records` render every row's whole stack afresh.
 They must agree byte for byte on every kind of row change the
-recognizers make, and on arbitrary stack sequences.
+recognizers make, and on arbitrary step sequences.
 """
 
 import sys
@@ -34,13 +34,6 @@ def center_automaton(name):
     if name == "ghi":
         return build_ghi(embed(CENTER))
     return FLAT_BUILDERS[name](augment(CENTER_HI if name == "hi" else CENTER))
-
-
-def common_prefix(a, b):
-    common = 0
-    while common < min(len(a), len(b)) and a[common] == b[common]:
-        common += 1
-    return common
 
 
 def assert_matches_reference(automaton, trace):
@@ -96,33 +89,41 @@ def test_multi_item_reductions_match_reference():
     # hi's reductions on S -> S *S pop a rule's members and the item below
     automaton = FLAT_BUILDERS["hi"](augment(hg("S", ("S", "S *S"), ("S", "*a"))))
     trace = accepting_trace(run(automaton, ("a",) * 5))
-    stacks = [trace.initial] + [step.stack for step in trace.steps]
-    assert any(len(below) - common_prefix(below, above) > 1
-               for below, above in zip(stacks, stacks[1:]))
+    assert any(step.popped > 1 for step in trace.steps)
     assert_matches_reference(automaton, trace)
 
 
-def _stub_automaton():
+def _paired_rows(steps):
+    """Rows of two steps each, as a collapsing convention may make them."""
+    return [(" ".join(step.label for step in steps[at:at + 2]), steps[at:at + 2])
+            for at in range(0, len(steps), 2)]
+
+
+def _stub_automaton(collapse_rows):
     """Items are ints rendered as that many 'x's, so 0 renders empty."""
     return engine.Automaton("stub", (), lambda n: 0, lambda n: 0,
-                            lambda item: "x" * item, plan=lambda top: (1, ()))
+                            lambda item: "x" * item,
+                            collapse_rows=collapse_rows, plan=lambda top: (1, ()))
 
 
-stacks = st.lists(st.integers(0, 3), max_size=8).map(tuple)
+@st.composite
+def step_traces(draw):
+    """A trace from any stack whose steps each pop at most the stack's
+    depth; the few item values make a push often equal what it replaced."""
+    initial = tuple(draw(st.lists(st.integers(0, 3), max_size=8)))
+    depth = len(initial)
+    steps = []
+    for at in range(draw(st.integers(0, 10))):
+        popped = draw(st.integers(0, depth))
+        steps.append(engine.TraceStep("s%d" % at, popped, draw(st.integers(0, 3))))
+        depth += 1 - popped
+    return engine.Trace(initial, tuple(steps))
 
 
 @settings(max_examples=300, deadline=None)
-@given(initial=stacks, rows=st.lists(stacks, max_size=8))
-def test_arbitrary_stack_sequences_match_reference(initial, rows):
-    # rows need not come from one step each: any pair may share any prefix
-    trace = engine.Trace(initial, tuple(engine.TraceStep("s", stack)
-                                        for stack in rows))
-    assert_matches_reference(_stub_automaton(), trace)
-
-
-@given(a=stacks, b=stacks)
-def test_shared_prefix_is_the_longest_common_prefix(a, b):
-    assert engine._shared_prefix(a, b) == common_prefix(a, b)
+@given(trace=step_traces(), collapse_rows=st.sampled_from([None, _paired_rows]))
+def test_arbitrary_stack_sequences_match_reference(trace, collapse_rows):
+    assert_matches_reference(_stub_automaton(collapse_rows), trace)
 
 
 def test_render_peak_memory_is_about_twice_the_text():
