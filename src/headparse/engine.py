@@ -6,12 +6,11 @@ ordered list of clauses.  A clause inspects the top of the current stack
 some top items, then push one.  Each proposal is one nondeterministic
 step.  The engine explores the resulting configuration space depth first,
 taking clauses in their listed order and input positions in ascending
-order, so runs and traces are reproducible.  Stacks already seen (a plain
-visited set) are pruned: transitions read only the stack, the input, and
-indexes stored inside items, so equal stacks have equal futures.  Pruning
-plus explicit step/depth bounds turn would-be infinite searches into either
-pruned duplicates or a distinct resource-limit verdict; they never affect
-accept/reject outcomes on searches that terminate.
+order, so runs and traces are reproducible.  Stacks already seen are
+pruned: transitions read only the stack, the input, and indexes stored
+inside items, so equal stacks have equal futures.  Pruning plus explicit
+step/depth bounds turn would-be infinite searches into pruned duplicates
+or a resource-limit verdict; they never change a verdict otherwise.
 
 Every clause reads at most the top few items of a stack, its *window*,
 and the automaton's `plan(top)` says how many and which clauses can fire,
@@ -19,18 +18,28 @@ where `top` is the stack's top item.  As in an LR parser, the state on
 top decides both: a reduction reads as many entries as the finished rule
 has members, every other step reads the top alone, and the clauses a top
 cannot start are left out.  The steps a stack allows are therefore a
-function of its window and the input, and a run keeps a table of them
-keyed by the top item first.  A top whose window is the top alone maps
-straight to its steps; any other top maps to its window size and planned
-clauses, and the steps of its windows sit in a second table keyed by
-window.  So a stack whose top was met before costs one item's hash, and
-`plan` runs only on a top with no entry yet.  The matchers run once per
-distinct window, and every later stack with that window replays the
-recorded steps in the same order.  A window's steps are recorded as the
-search pulls them and stored only once all are pulled, so a search that
-accepts early never computes steps it does not take.  The tables live for
-one run; they are the transition relation of the automaton on that input,
-restricted to the windows the search reached.
+function of its window and the input, and a run keeps a table of them.
+A run interns each item it pushes once, as a *node* that holds the item
+and the top's table entry: its steps when the top alone is its window,
+else its window size and planned clauses, and the steps of its windows
+sit in a second table keyed by their nodes.  Recorded steps carry the
+node they push, so a replayed step hashes no item, and `plan` runs once
+per node.  The matchers run once per distinct window, on a tuple of its
+items, and every later stack with that window replays the recorded steps
+in the same order.  They are recorded as the search pulls them and stored
+only once all are pulled, so a search that accepts early never computes
+steps it does not take.  The tables live for one run; they are the
+transition relation of the automaton on that input, restricted to the
+windows the search reached.
+
+A stack is one *cell*, (the cell below, the top node, the depth), so
+stacks share their lower parts as in Tomita's graph-structured stack
+(1986).  Cells are hash-consed (Filliatre & Conchon, "Type-safe modular
+hash-consing", 2006): each node keeps the cells it tops, keyed by the
+identity of the cell below, so equal stacks are one cell, the interned
+cells are the visited set, and a step walks `popped` cells down and
+pushes one at a cost that does not grow with the depth.  Only a stack of
+at most two items is tested for acceptance.
 
 A clause that predicts a head scans a span of the input for tokens that
 can start one.  Like an LR parser looking up its action by lookahead, it
@@ -38,8 +47,8 @@ asks `positions` for the span's positions whose token lies in a head set
 the builder memoises per grammar state, so it visits only those, in
 ascending order, and still tests each one itself.  `run` and `replay`
 pause Python's cyclic collector for their span: a run allocates only
-tuples and generators that form no cycles, and the collector would keep
-scanning them.
+tuples, dicts and generators that form no cycles, and the collector would
+keep scanning them.
 
 Items carry the -1-based input positions used throughout this toolkit
 directly (the bottom marker occupies the span (-1, 0]), with no internal
@@ -49,9 +58,9 @@ A trace is the steps a run applied, as an LR parser records a parse as
 its actions: (clause label, items popped, item pushed), and a stack is
 rebuilt by applying them to the initial one.  Each search path carries
 its trace link (the recorded step and its parent's link, no stack) and
-the input positions its scanning steps consulted on its agenda entry, not
-in a map keyed by stack, so sets of different branches never merge and
-only open paths and the accepting one hold links.  A run reports the
+the input positions its scanning steps consulted, as a bitmask, on its
+agenda entry, not on its cell, so sets of different branches never merge
+and only open paths and the accepting one hold links.  A run reports the
 accepting path's set, or else the widest any path reached.
 """
 
@@ -95,6 +104,10 @@ class Clause:
 
 @dataclass
 class Automaton:
+    """A stack automaton.  No stack of more than two items accepts: every
+    builder accepts on [fin] or on hi's [init, fin'], so `run` and `replay`
+    ask the accepting predicate only about stacks of one or two items."""
+
     name: str
     clauses: tuple
     make_init: Callable
@@ -174,13 +187,13 @@ _index = (None, {})
 
 
 def positions(tokens, heads, lo, hi):
-    """The positions p in (lo, hi] whose token `tokens[p - 1]` is in `heads`,
-    lazily and in ascending order.
+    """An iterator over the positions p in (lo, hi] whose token
+    `tokens[p - 1]` is in `heads`, in ascending order.
 
     Each head set's positions are listed once per tokens tuple and cut to
-    the span by bisection, so a clause's scan costs the positions it visits,
-    not the span's length.  A sequence other than a tuple may change, so its
-    lists last for one call.
+    the span by bisection and one slice, so a clause's scan costs the
+    positions in the span, not the span's length.  A sequence other than a
+    tuple may change, so its lists last for one call.
     """
     global _index
     slot = _index
@@ -192,8 +205,7 @@ def positions(tokens, heads, lo, hi):
     where = lists.get(heads)
     if where is None:
         where = lists[heads] = [p for p, a in enumerate(tokens, 1) if a in heads]
-    return map(where.__getitem__,
-               range(bisect_right(where, lo), bisect_right(where, hi)))
+    return iter(where[bisect_right(where, lo):bisect_right(where, hi)])
 
 
 def _collector_paused(function):
@@ -223,14 +235,15 @@ def _successors(clauses, stack, tokens):
             yield clause.label, popped, item, consulted
 
 
-def _recorded(clauses, window, tokens, table, key):
-    """The window's steps, each item in a 1-tuple that a replay appends as
-    it is; once all are pulled they are stored as `table[key]`."""
+def _recorded(clauses, window, tokens, intern, table, key):
+    """The window's steps, each with its item's node and its consulted
+    position as a bit; once all are pulled they are stored as `table[key]`."""
     steps = []
     for clause in clauses:
         label = clause.label
         for popped, item, consulted in clause.matcher(window, tokens):
-            step = (label, popped, (item,), consulted)
+            step = (label, popped, intern(item),
+                    0 if consulted is None else 1 << consulted)
             steps.append(step)
             yield step
     table[key] = steps
@@ -255,93 +268,118 @@ def run(automaton: Automaton, tokens, *, max_steps: int = 1_000_000,
     plan = automaton.plan
     by_label = {clause.label: clause for clause in automaton.clauses}
     resolved = {}  # labels of a plan -> their clauses
-    start = (automaton.make_init(n),)
 
-    seen = {start}  # a trace follows the first path to reach its stack
-    # top item -> its steps, once a search has pulled them all, when the
-    # top alone is its window; else top -> (reach, planned clauses), and
-    # the steps of its windows are in `windows`
-    table = {}
-    windows = {}  # window of more than one item -> its steps, likewise
+    # node k is the k-th distinct item pushed: items[k]; its cells tops[k],
+    # keyed by id(cell below); and its table entry entries[k], None until
+    # planned, then its steps when the top alone is its window, else (reach,
+    # planned clauses), and `windows` keys its windows' steps by their nodes
+    nodes = {}  # item -> node
+    items, entries, tops = [], [], []
+    windows = {}
 
-    def pull(stack):
+    def intern(item):
+        node = nodes.get(item)
+        if node is None:
+            node = nodes[item] = len(items)
+            items.append(item)
+            entries.append(None)
+            tops.append({})
+        return node
+
+    def pull(cell):
         """The stack's steps, replayed from the tables or recorded as they
         are pulled; None when the tables show it has none."""
-        top = stack[-1]
-        entry = table.get(top)
+        node = cell[1]
+        entry = entries[node]
         if type(entry) is list:
             return iter(entry) if entry else None
         if entry is None:
-            reach, labels = plan(top)
+            reach, labels = plan(items[node])
             clauses = resolved.get(labels)
             if clauses is None:
                 clauses = resolved[labels] = tuple(map(by_label.__getitem__, labels))
             if reach == 1:
-                return _recorded(clauses, stack[-1:], tokens, table, top)
-            entry = table[top] = (reach, clauses)
+                return _recorded(clauses, (items[node],), tokens, intern,
+                                 entries, node)
+            entry = entries[node] = (reach, clauses)
         reach, clauses = entry
-        window = stack[-reach:]
-        steps = windows.get(window)
+        key = (node,)
+        while len(key) < reach and cell[2] > 1:
+            cell = cell[0]
+            key = (cell[1],) + key
+        steps = windows.get(key)
         if steps is None:
-            return _recorded(clauses, window, tokens, windows, window)
+            window = tuple(map(items.__getitem__, key))
+            return _recorded(clauses, window, tokens, intern, windows, key)
         return iter(steps) if steps else None
+
+    # a stack is a cell (cell below, top node, depth), and `tops` is the
+    # visited set: a trace follows the first path to reach its stack
+    initial = (automaton.make_init(n),)
+    bottom = (None, None, 0)
+    start = (bottom, intern(initial[0]), 1)
+    tops[start[1]][id(bottom)] = start
 
     explored = 1
     applications = 0
     deepest = 1
     duplicates = 0
     limit_kind = None
-    accepted = accepting(start)
+    accepted = accepting(initial)
     accept_link = None
-    accept_consulted = frozenset()
-    # widest consulted set, ordered by (len, sorted): keys that compare
-    # equal belong to equal sets, so it does not depend on search order
-    widest = frozenset()
+    accept_consulted = 0
+    # widest consulted set by (len, sorted), so it does not depend on search
+    # order: keys that compare equal belong to equal sets, and of two masks
+    # of one size the one lacking their lowest differing bit sorts higher
+    widest = 0
 
     # agenda entries: (stack, consulted set, its steps, its link), a link
     # being (the step that made the stack, link of the parent stack) or None
-    agenda = [(start, frozenset(), pull(start) or iter(()), None)]
+    agenda = [(start, 0, pull(start) or iter(()), None)]
     while agenda:
-        cfg, base, successors, link = agenda[-1]
+        cell, base, successors, link = agenda[-1]
         step = next(successors, None)
         if step is None:
             agenda.pop()
             continue
-        label, popped, pushed, pos = step
         if applications >= max_steps:
             limit_kind = "steps"
             break
         applications += 1
-        # a push slices the whole stack, which is the stack itself
-        new_cfg = cfg[:len(cfg) - popped] + pushed
-        if len(new_cfg) > max_depth:
+        _, popped, node, bit = step
+        while popped:
+            cell = cell[0]
+            popped -= 1
+        depth = cell[2] + 1
+        if depth > max_depth:
             limit_kind = "depth"
             continue
-        # one hash both tests for and records the stack
-        before = len(seen)
-        seen.add(new_cfg)
-        if len(seen) == before:
+        below = id(cell)
+        stacks = tops[node]
+        if below in stacks:
             duplicates += 1
             continue
+        cell = stacks[below] = (cell, node, depth)
         explored += 1
         new_link = (step, link)
-        new_consulted = base if pos is None else base | {pos}
-        if new_consulted is not base:
-            size = len(new_consulted)
-            if size > len(widest) or (size == len(widest)
-                                      and sorted(new_consulted) > sorted(widest)):
-                widest = new_consulted
-        if len(new_cfg) > deepest:
-            deepest = len(new_cfg)
-        if not accepted and accepting(new_cfg):
+        consulted = base | bit
+        if consulted != base:
+            size, wide = consulted.bit_count(), widest.bit_count()
+            differ = consulted ^ widest
+            if size > wide or (size == wide and differ & -differ & widest):
+                widest = consulted
+        if depth > deepest:
+            deepest = depth
+        if not accepted and depth <= 2 and accepting(
+                (items[node],) if depth == 1 else (items[cell[0][1]], items[node])):
             accepted = True
             accept_link = new_link
-            accept_consulted = new_consulted
+            accept_consulted = consulted
             if not exhaustive:
                 break
-        successors = pull(new_cfg)
+        successors = pull(cell)
         if successors is not None:
-            agenda.append((new_cfg, new_consulted, successors, new_link))
+            agenda.append((cell, consulted, successors, new_link))
 
     if accepted:
         verdict = Verdict.ACCEPT
@@ -353,21 +391,22 @@ def run(automaton: Automaton, tokens, *, max_steps: int = 1_000_000,
         configurations_explored=explored,
         clause_applications=applications,
         max_stack_depth=deepest,
-        consulted_positions=final_consulted,
+        consulted_positions=frozenset([p for p in range(final_consulted.bit_length())
+                                       if final_consulted >> p & 1]),
         duplicates_pruned=duplicates,
         limit_hit=limit_kind is not None,
         limit_kind=limit_kind,
     )
-    trace = _build_trace(start, accept_link) if accepted else None
+    trace = _build_trace(initial, accept_link, items) if accepted else None
     return RunResult(verdict, stats, trace)
 
 
-def _build_trace(initial, link):
+def _build_trace(initial, link, items):
     """The trace that ends at `link`'s stack, read off the link chain."""
     steps = []
     while link is not None:
-        (label, popped, pushed, _), link = link
-        steps.append(TraceStep(label, popped, pushed[0]))
+        (label, popped, node, _), link = link
+        steps.append(TraceStep(label, popped, items[node]))
     steps.reverse()
     return Trace(initial, tuple(steps))
 
@@ -384,7 +423,7 @@ def replay(automaton: Automaton, tokens, trace: Trace) -> bool:
 
     True when the clause each step names yields exactly its (popped, item)
     on the window `plan` sizes for the stack so far, and the stack the
-    steps end on is accepting.
+    steps end on is accepting: at most two items, as `run` asks.
     """
     tokens = tuple(tokens)
     n = len(tokens)
@@ -401,7 +440,7 @@ def replay(automaton: Automaton, tokens, trace: Trace) -> bool:
             return False
         del cur[len(cur) - popped:]
         cur.append(item)
-    return automaton.accepting_predicate(n)(tuple(cur))
+    return len(cur) <= 2 and automaton.accepting_predicate(n)(tuple(cur))
 
 
 def trace_rows(automaton: Automaton, trace: Trace):
