@@ -12,25 +12,22 @@ inside items, so equal stacks have equal futures.  Pruning plus explicit
 step/depth bounds turn would-be infinite searches into pruned duplicates
 or a resource-limit verdict; they never change a verdict otherwise.
 
-Every clause reads at most the top few items of a stack, its *window*,
-and the automaton's `plan(top)` says how many and which clauses can fire,
-where `top` is the stack's top item.  As in an LR parser, the state on
-top decides both: a reduction reads as many entries as the finished rule
-has members, every other step reads the top alone, and the clauses a top
-cannot start are left out.  The steps a stack allows are therefore a
-function of its window and the input, and a run keeps a table of them.
-A run interns each item it pushes once, as a *node* that holds the item
-and the top's table entry: its steps when the top alone is its window,
-else its window size and planned clauses, and the steps of its windows
-sit in a second table keyed by their nodes.  Recorded steps carry the
-node they push, so a replayed step hashes no item, and `plan` runs once
-per node.  The matchers run once per distinct window, on a tuple of its
-items, and every later stack with that window replays the recorded steps
-in the same order.  They are recorded as the search pulls them and stored
-only once all are pulled, so a search that accepts early never computes
-steps it does not take.  The tables live for one run; they are the
-transition relation of the automaton on that input, restricted to the
-windows the search reached.
+Every clause reads at most the top few items of a stack, its *window*.
+As an LR table lists for each state only the actions it can take, the
+automaton's `plan(top)` names the clauses that can find a step when `top`
+is the top item, in up to two groups: those that read the top alone, and
+on a finished top those that read its window, perhaps guarded by the
+item below.  The others find nothing there, so the steps of a stack are
+a function of its top, its window and the input.  A run interns each item
+it pushes once, as a *node* that holds the item and its plan, and records
+the first group's steps once per node and the second's once per window,
+keyed by its nodes.  A stack takes its node's steps, then its window's,
+so every stack with that top and window replays the same steps in the
+same order; a step carries the node it pushes and hashes no item.  Steps
+are recorded as the search pulls them and stored only once all are
+pulled, so a search that accepts early never computes steps it does not
+take.  The tables live for one run; they are the transition relation of
+the automaton on that input, restricted to what the search reached.
 
 A stack is one *cell*, (the cell below, the top node, the depth), so
 stacks share their lower parts as in Tomita's graph-structured stack
@@ -71,6 +68,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache, wraps
+from itertools import chain
 from typing import Callable, NamedTuple, Optional
 
 
@@ -94,7 +92,7 @@ class Clause:
     step read, or None.  `window` is the top items of the stack that
     `Automaton.plan` sizes (fewer on a shorter stack), and a matcher reads
     nothing else.  A matcher checks everything it needs itself: a clause
-    the window's plan leaves out finds nothing there, so running every
+    the plan or its guard leaves out finds nothing there, so running every
     clause on the whole stack finds the same steps.
     """
 
@@ -123,12 +121,26 @@ class Automaton:
     # `collapse_rows(steps)` maps a trace's steps to its display rows,
     # `(label, steps)` in order; None gives each step a row of its own.
     collapse_rows: Optional[Callable] = None
-    # `plan(top) -> (reach, labels)`: when `top` is the top item, the
-    # clauses read the top `reach` items, and only those labelled in
-    # `labels`, named in `clauses` order, can find a step; the others find
-    # nothing there.  Every builder states its own rule.  Labels, not
-    # clauses, so a copy with wrapped matchers runs its own.
+    # `plan(top) -> (alone, window)` names, in `clauses` order, the clauses
+    # that can find a step when `top` is the top item: `alone` those that
+    # read the top alone, and `window` None or (reach, labels, guard) for
+    # those that read the top `reach` items, where `guard` is None or maps
+    # the item below the top to the labels that can fire over it.  Alone
+    # clauses come first in `clauses`.  Every builder states its own rule.
+    # Labels, not clauses, so a copy with wrapped matchers runs its own.
     plan: Callable = field(kw_only=True)
+    _named: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def named(self, labels):
+        """The clauses labelled `labels`, in that order, resolved once per
+        automaton: a copy made by `dataclasses.replace` starts afresh."""
+        clauses = self._named.get(labels)
+        if clauses is None:
+            by_label = self._named.get(None)
+            if by_label is None:
+                by_label = self._named[None] = {c.label: c for c in self.clauses}
+            clauses = self._named[labels] = tuple(map(by_label.__getitem__, labels))
+        return clauses
 
     def accepting_predicate(self, n):
         if self.make_accepting is not None:
@@ -227,14 +239,6 @@ def _collector_paused(function):
     return paused
 
 
-def _successors(clauses, stack, tokens):
-    """Every step (label, popped, item, consulted) the clauses allow on
-    `stack`, computed afresh: what the run's table records and replays."""
-    for clause in clauses:
-        for popped, item, consulted in clause.matcher(stack, tokens):
-            yield clause.label, popped, item, consulted
-
-
 def _recorded(clauses, window, tokens, intern, table, key):
     """The window's steps, each with its item's node and its consulted
     position as a bit; once all are pulled they are stored as `table[key]`."""
@@ -266,16 +270,16 @@ def run(automaton: Automaton, tokens, *, max_steps: int = 1_000_000,
         max_depth = default_max_depth(n, automaton.size_hint)
     accepting = automaton.accepting_predicate(n)
     plan = automaton.plan
-    by_label = {clause.label: clause for clause in automaton.clauses}
-    resolved = {}  # labels of a plan -> their clauses
+    named = automaton.named
 
     # node k is the k-th distinct item pushed: items[k]; its cells tops[k],
     # keyed by id(cell below); and its table entry entries[k], None until
-    # planned, then its steps when the top alone is its window, else (reach,
-    # planned clauses), and `windows` keys its windows' steps by their nodes
+    # planned, then its steps when it plans no window group, else (alone
+    # clauses, reach, window clauses, guard); `steps` keys the steps of such
+    # a node by the node, and those of a window by its nodes
     nodes = {}  # item -> node
     items, entries, tops = [], [], []
-    windows = {}
+    steps = {}
 
     def intern(item):
         node = nodes.get(item)
@@ -287,31 +291,37 @@ def run(automaton: Automaton, tokens, *, max_steps: int = 1_000_000,
         return node
 
     def pull(cell):
-        """The stack's steps, replayed from the tables or recorded as they
-        are pulled; None when the tables show it has none."""
+        """The steps of a stack whose top's entry is not a list of steps:
+        its top's, then its window's, each replayed from the tables or
+        recorded as they are pulled; None when the tables show it has none."""
         node = cell[1]
         entry = entries[node]
-        if type(entry) is list:
-            return iter(entry) if entry else None
         if entry is None:
-            reach, labels = plan(items[node])
-            clauses = resolved.get(labels)
-            if clauses is None:
-                clauses = resolved[labels] = tuple(map(by_label.__getitem__, labels))
-            if reach == 1:
-                return _recorded(clauses, (items[node],), tokens, intern,
+            alone, window = plan(items[node])
+            if window is None:
+                return _recorded(named(alone), (items[node],), tokens, intern,
                                  entries, node)
-            entry = entries[node] = (reach, clauses)
-        reach, clauses = entry
+            reach, labels, guard = window
+            entry = entries[node] = (named(alone), reach, named(labels), guard)
+        alone, reach, clauses, guard = entry
+        if alone:
+            alone = steps.get(node)
+            if alone is None:
+                alone = _recorded(entry[0], (items[node],), tokens, intern,
+                                  steps, node)
         key = (node,)
         while len(key) < reach and cell[2] > 1:
             cell = cell[0]
             key = (cell[1],) + key
-        steps = windows.get(key)
-        if steps is None:
+        found = steps.get(key)
+        if found is None:
             window = tuple(map(items.__getitem__, key))
-            return _recorded(clauses, window, tokens, intern, windows, key)
-        return iter(steps) if steps else None
+            if guard is not None and len(key) > 1:
+                clauses = named(guard(window[-2]))
+            found = _recorded(clauses, window, tokens, intern, steps, key)
+        if not alone:
+            return found or None
+        return chain(alone, found) if found else alone
 
     # a stack is a cell (cell below, top node, depth), and `tops` is the
     # visited set: a trace follows the first path to reach its stack
@@ -334,52 +344,59 @@ def run(automaton: Automaton, tokens, *, max_steps: int = 1_000_000,
     widest = 0
 
     # agenda entries: (stack, consulted set, its steps, its link), a link
-    # being (the step that made the stack, link of the parent stack) or None
-    agenda = [(start, 0, pull(start) or iter(()), None)]
+    # being (the step that made the stack, link of the parent stack) or None;
+    # the top entry's steps are walked until one makes a new stack with
+    # steps of its own, which goes on top
+    agenda = [(start, 0, iter(pull(start) or ()), None)]
     while agenda:
-        cell, base, successors, link = agenda[-1]
-        step = next(successors, None)
-        if step is None:
-            agenda.pop()
-            continue
-        if applications >= max_steps:
-            limit_kind = "steps"
-            break
-        applications += 1
-        _, popped, node, bit = step
-        while popped:
-            cell = cell[0]
-            popped -= 1
-        depth = cell[2] + 1
-        if depth > max_depth:
-            limit_kind = "depth"
-            continue
-        below = id(cell)
-        stacks = tops[node]
-        if below in stacks:
-            duplicates += 1
-            continue
-        cell = stacks[below] = (cell, node, depth)
-        explored += 1
-        new_link = (step, link)
-        consulted = base | bit
-        if consulted != base:
-            size, wide = consulted.bit_count(), widest.bit_count()
-            differ = consulted ^ widest
-            if size > wide or (size == wide and differ & -differ & widest):
-                widest = consulted
-        if depth > deepest:
-            deepest = depth
-        if not accepted and depth <= 2 and accepting(
-                (items[node],) if depth == 1 else (items[cell[0][1]], items[node])):
-            accepted = True
-            accept_link = new_link
-            accept_consulted = consulted
-            if not exhaustive:
+        stack, base, successors, link = agenda[-1]
+        for step in successors:
+            if applications >= max_steps:
+                limit_kind = "steps"
+                agenda.clear()
                 break
-        successors = pull(cell)
-        if successors is not None:
-            agenda.append((cell, consulted, successors, new_link))
+            applications += 1
+            _, popped, node, bit = step
+            cell = stack
+            while popped:
+                cell = cell[0]
+                popped -= 1
+            depth = cell[2] + 1
+            if depth > max_depth:
+                limit_kind = "depth"
+                continue
+            below = id(cell)
+            stacks = tops[node]
+            if below in stacks:
+                duplicates += 1
+                continue
+            cell = stacks[below] = (cell, node, depth)
+            explored += 1
+            new_link = (step, link)
+            consulted = base | bit
+            if consulted != base:
+                size, wide = consulted.bit_count(), widest.bit_count()
+                differ = consulted ^ widest
+                if size > wide or (size == wide and differ & -differ & widest):
+                    widest = consulted
+            if depth > deepest:
+                deepest = depth
+            if not accepted and depth <= 2 and accepting(
+                    (items[node],) if depth == 1 else (items[cell[0][1]], items[node])):
+                accepted = True
+                accept_link = new_link
+                accept_consulted = consulted
+                if not exhaustive:
+                    agenda.clear()
+                    break
+            found = entries[node]
+            if type(found) is not list:
+                found = pull(cell)
+            if found:
+                agenda.append((cell, consulted, iter(found), new_link))
+                break
+        else:
+            agenda.pop()
 
     if accepted:
         verdict = Verdict.ACCEPT
@@ -391,14 +408,22 @@ def run(automaton: Automaton, tokens, *, max_steps: int = 1_000_000,
         configurations_explored=explored,
         clause_applications=applications,
         max_stack_depth=deepest,
-        consulted_positions=frozenset([p for p in range(final_consulted.bit_length())
-                                       if final_consulted >> p & 1]),
+        consulted_positions=_positions_of(final_consulted),
         duplicates_pruned=duplicates,
         limit_hit=limit_kind is not None,
         limit_kind=limit_kind,
     )
     trace = _build_trace(initial, accept_link, items) if accepted else None
     return RunResult(verdict, stats, trace)
+
+
+def _positions_of(mask):
+    """The positions of the set bits of `mask`."""
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return frozenset(out)
 
 
 def _build_trace(initial, link, items):
@@ -430,13 +455,17 @@ def replay(automaton: Automaton, tokens, trace: Trace) -> bool:
     if trace.initial != (automaton.make_init(n),):
         return False
     matchers = {clause.label: clause.matcher for clause in automaton.clauses}
+    plan = automaton.plan
     cur = list(trace.initial)
     for label, popped, item in trace.steps:
         matcher = matchers.get(label)
-        window = tuple(cur[-automaton.plan(cur[-1])[0]:])
-        if matcher is None or not any(
-                (found, pushed) == (popped, item)
-                for found, pushed, _ in matcher(window, tokens)):
+        if matcher is None:
+            return False
+        window = plan(cur[-1])[1]
+        for found, pushed, _ in matcher(tuple(cur[-(window[0] if window else 1):]), tokens):
+            if found == popped and pushed == item:
+                break
+        else:
             return False
         del cur[len(cur) - popped:]
         cur.append(item)

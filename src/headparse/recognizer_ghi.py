@@ -321,15 +321,33 @@ def build_ghi(g: GenHeadGrammar) -> Automaton:
                 idx += 1
         return rows
 
-    # Each matcher checks the type of the top item first; a done item is
-    # planned by what it holds, and only 4a..7b read the item below it.
-    plans = {FullItem: (1, ("1a", "1b", "2a", "2b")),
-             RightOpenItem: (1, ("1c", "3a")), LeftOpenItem: (1, ("1d", "3b")),
-             Tree: (2, ("4a", "4b", "5a", "5b")),
-             GenHeadRule: (2, ("6a", "6b", "7a", "7b"))}
+    @cache
+    def open_plan(shape, q, right, left):
+        sides = {FullItem: ((True, right, "1a", "2a"), (False, left, "1b", "2b")),
+                 RightOpenItem: ((True, right, "1c", "3a"),),
+                 LeftOpenItem: ((False, left, "1d", "3b"),)}[shape]
+        empty = [label for rightward, _, label, _ in sides if select[rightward](q, None)]
+        return tuple(empty + [label for rightward, room, _, label in sides
+                              if room and scan_heads(side_set[rightward](q))]), None
+
+    def attach_plan(labels):
+        guards = {FullItem: labels[:2], RightOpenItem: labels[2:3],
+                  LeftOpenItem: labels[3:], DoneItem: ()}
+        return (), (2, labels, lambda below: guards[type(below)])
+
+    done_plans = {Tree: attach_plan(("4a", "4b", "5a", "5b")),
+                  GenHeadRule: attach_plan(("6a", "6b", "7a", "7b"))}
 
     def plan(top):
-        return plans[type(top.t) if type(top) is DoneItem else type(top)]
+        """Read off the early exits: each matcher takes one type of top.
+        1a..1d need a member with no subtree on their side, 2a..3b a
+        terminal heading that side's set and input there.  A done item's
+        attachments read the item below it, each over one shape."""
+        shape = type(top)
+        if shape is DoneItem:
+            return done_plans[type(top.t)]
+        return open_plan(shape, top.q, shape is not LeftOpenItem and top.m < top.j,
+                         shape is not RightOpenItem and top.i < top.k)
 
     return Automaton("ghi", clauses, make_init, make_fin, render_item,
                      (len(g.rules) + 1, len(g.nonterminals) + 1),

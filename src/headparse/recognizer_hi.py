@@ -45,20 +45,16 @@ def compute_relations(aug: AugmentedGrammar) -> Relations:
                      head_corner(aug, RIGHT))
 
 
-def _pending_nts(aug, q, rightward):
-    """Nonterminals adjacent to the dotted region of any element of q."""
+def _pending(aug, q, rightward):
+    """Symbols adjacent to the dotted region of any element of q."""
     out = set()
     for rid, ld, rd in q:
         rhs = aug.rules[rid].rhs
-        sym = None
         if rightward:
             if rd < len(rhs):
-                sym = rhs[rd]
-        else:
-            if ld > 0:
-                sym = rhs[ld - 1]
-        if sym is not None and sym in aug.nonterminals:
-            out.add(sym)
+                out.add(rhs[rd])
+        elif ld > 0:
+            out.add(rhs[ld - 1])
     return out
 
 
@@ -67,7 +63,7 @@ def _make_goto1(rightward):
         """Rules with head `x`, startable next to a pending nonterminal of
         some element of `q` on this side (full head-corner gate); dots
         placed around the head."""
-        pend = _pending_nts(aug, q, rightward)
+        pend = _pending(aug, q, rightward) & aug.nonterminals
         if not pend:
             return frozenset()
         out = set()
@@ -85,7 +81,7 @@ def _make_goto2(rightward):
         rules whose outermost member on this side is `x` and also the head
         (left head-corner gate going right, right one going left)."""
         out = set()
-        pend = _pending_nts(aug, q, rightward)
+        pend = _pending(aug, q, rightward) & aug.nonterminals
         if pend:
             gate = rels.left if rightward else rels.right
             for rid in aug.rules_with_head.get(x, ()):
@@ -126,6 +122,12 @@ def build_hi(aug: AugmentedGrammar) -> Automaton:
     rules = aug.rules
     nts = aug.nonterminals
 
+    @cache
+    def finished(q):
+        """(rule id, size) of the finished rules in `q`, by rule id."""
+        return tuple(sorted((rid, rd) for rid, ld, rd in q
+                            if ld == 0 and rd == len(rules[rid].rhs)))
+
     def transition(goto):
         # With the grammar fixed a goto is a function of (state, symbol)
         # alone, so each automaton computes it once per pair: lazy LR
@@ -157,17 +159,30 @@ def build_hi(aug: AugmentedGrammar) -> Automaton:
                     == (fin.i, fin.k, fin.m, fin.j) and fin.q <= top.q)
         return accepting
 
+    @cache
+    def side_of(q, rightward):
+        """What `q` can take on one side, read off its pending symbols and the
+        head-corner relations: the terminals whose fresh-head goto from `q`
+        is not empty, and whether some terminal's advancing goto is not."""
+        pending = _pending(aug, q, rightward)
+        pend = pending & nts
+        gate = rels.left if rightward else rels.right
+        heads, scans = set(), not pending <= nts
+        for x, rids in aug.rules_with_terminal_head.items():
+            for r in map(rules.__getitem__, rids):
+                if any((r.lhs, b) in rels.full for b in pend):
+                    heads.add(x)
+                edge = 0 if rightward else len(r.rhs) - 1
+                scans = scans or (r.head == edge
+                                  and any((r.lhs, b) in gate for b in pend))
+        return frozenset(heads), scans
+
     def new_head_side(rightward):
         goto = goto1[rightward]
 
-        @cache
-        def heads_for(q):
-            """The terminals whose fresh-head goto from `q` is not empty."""
-            return frozenset(x for x in aug.rules_with_terminal_head if goto(q, x))
-
         def matcher(stack, tokens):
             top = stack[-1]
-            heads = heads_for(top.q)
+            heads = side_of(top.q, rightward)[0]
             # the position next to the recognized span is clause 2's job
             if rightward:
                 lo, hi = top.m, top.j
@@ -216,9 +231,8 @@ def build_hi(aug: AugmentedGrammar) -> Automaton:
         def matcher(stack, tokens):
             top = stack[-1]
             emitted = set()
-            for rid, ld, rd in sorted(top.q):
-                size = len(rules[rid].rhs)
-                if ld != 0 or rd != size or len(stack) < size + 1:
+            for rid, size in finished(top.q):
+                if len(stack) < size + 1:
                     continue
                 context = stack[-(size + 1)]
                 if advance:
@@ -254,19 +268,23 @@ def build_hi(aug: AugmentedGrammar) -> Automaton:
         Clause("4a", reduce_side(True, advance=True)),
         Clause("4b", reduce_side(False, advance=True)),
     )
-    open_plan = (1, ("1a", "1b", "2a", "2b"))
-    all_labels = ("1a", "1b", "2a", "2b", "3a", "3b", "4a", "4b")
-
     @cache
-    def plan_of(q):
-        # a reduction (3a..4b) needs a finished rule in the set, and reads
-        # the rule's members and the context item below them; every other
-        # clause reads the top alone
-        size = max((len(rules[rid].rhs) for rid, ld, rd in q
-                    if ld == 0 and rd == len(rules[rid].rhs)), default=0)
-        return (1 + size, all_labels) if size else open_plan
+    def plan_of(q, right, left):
+        """Read off the early exits: 1a/1b need a fresh head from `q` on
+        their side and input there past the adjacent position (`right` and
+        `left` count the positions left, up to 2); 2a/2b a terminal `q` can
+        take there and input there; a reduction (3a..4b) a finished rule in
+        the set, and it reads the rule's members and the context below."""
+        (heads_right, scans_right), (heads_left, scans_left) = (
+            side_of(q, True), side_of(q, False))
+        alone = tuple(label for label, fires in (
+            ("1a", right > 1 and heads_right), ("1b", left > 1 and heads_left),
+            ("2a", right and scans_right), ("2b", left and scans_left)) if fires)
+        size = max((size for _, size in finished(q)), default=0)
+        return alone, (1 + size, ("3a", "3b", "4a", "4b"), None) if size else None
 
     return Automaton("hi", clauses, make_init, make_fin, _render_hi(aug),
                      (len(rules), len(aug.nonterminals)),
                      make_accepting=make_accepting,
-                     plan=lambda top: plan_of(top.q))
+                     plan=lambda top: plan_of(top.q, min(top.j - top.m, 2),
+                                              min(top.k - top.i, 2)))

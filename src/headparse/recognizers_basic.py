@@ -159,16 +159,30 @@ def _make_attach(aug, rightward):
     return matcher
 
 
-def _dotted_plan(aug, unfinished, finished):
-    """`Automaton.plan` of td and hc for a dotted top: a finished rule has
-    nothing pending, so only `finished` (3, 3a/3b, 4a/4b) can fire on it,
-    and they read the item below it."""
-    sizes = tuple(len(r.rhs) for r in aug.rules)
-    open_plan = (1, unfinished)
-    done_plan = (2, finished)
+def _dotted_plan(aug, predicts, finished, can_predict):
+    """`Automaton.plan` of td and hc for a dotted top, per rule, dots and
+    sides with input left, read off the early exits: on a side with input
+    left, a pending nonterminal `b` lets its clause in `predicts` fire if
+    `can_predict(b)`, a pending terminal 2a/2b.  A finished rule has nothing
+    pending, and only `finished` (3, 3a/3b, 4a/4b) can fire on it, reading
+    the item below it."""
+    nts = aug.nonterminals
+    done_plan = ((), (2, finished, None))
+
+    @cache
+    def plan_of(rule, ld, rd, right, left):
+        rhs = aug.rules[rule].rhs
+        if ld == 0 and rd == len(rhs):
+            return done_plan
+        pending = (rhs[rd] if right and rd < len(rhs) else None,
+                   rhs[ld - 1] if left and ld > 0 else None)
+        return (tuple(label for label, b in zip(predicts, pending)
+                      if b in nts and can_predict(b))
+                + tuple(label for label, a in zip(("2a", "2b"), pending)
+                        if a is not None and a not in nts)), None
 
     def plan(top):
-        return done_plan if top.ld == 0 and top.rd == sizes[top.rule] else open_plan
+        return plan_of(top.rule, top.ld, top.rd, top.m < top.j, top.i < top.k)
     return plan
 
 
@@ -263,10 +277,19 @@ def build_td(aug: AugmentedGrammar) -> Automaton:
         Clause("4a", _make_attach(aug, True)),
         Clause("4b", _make_attach(aug, False)),
     )
-    dotted_plan = _dotted_plan(aug, ("0a", "0b", "2a", "2b"), ("3", "4a", "4b"))
+    dotted_plan = _dotted_plan(aug, ("0a", "0b"), ("3", "4a", "4b"), lambda b: True)
 
-    def plan(top):  # 0a..4b need a dotted rule on top
-        return (1, ("0", "1")) if type(top) is Goal else dotted_plan(top)
+    goal_plans = {(b, room): (("0",) * (b in nt_heads_by_lhs)
+                              + ("1",) * (room and b in t_heads_by_lhs), None)
+                  for b in nts for room in (False, True)}
+
+    def plan(top):
+        """0 and 1 exit on all but a goal, 0a..4b on all but a dotted rule.
+        0 needs a rule of the goal's symbol with a nonterminal head, and 1
+        one with a terminal head and input left in the goal's span."""
+        if type(top) is Goal:
+            return goal_plans[top.sym, top.i < top.j]
+        return dotted_plan(top)
 
     return Automaton("td", clauses, make_init, make_fin, _render_td(aug),
                      (len(aug.rules), len(nts)), plan=plan)
@@ -345,8 +368,7 @@ def build_hc(aug: AugmentedGrammar) -> Automaton:
     )
     return Automaton("hc", clauses, make_init, make_fin, _render_td(aug),
                      (len(aug.rules), len(nts)),
-                     plan=_dotted_plan(aug, ("1a", "1b", "2a", "2b"),
-                                       ("3a", "3b", "4a", "4b")))
+                     plan=_dotted_plan(aug, ("1a", "1b"), ("3a", "3b", "4a", "4b"), heads_for))
 
 
 # ------------------------------------------------------------------ infix index
@@ -391,6 +413,11 @@ class InfixIndex:
         self.right_nt = {k: frozenset(v) for k, v in right_nt.items()}
         self.left_nt = {k: frozenset(v) for k, v in left_nt.items()}
         self.complete = {k: frozenset(v) for k, v in complete.items()}
+        # (left-hand side, infix) pairs that a symbol other than a
+        # nonterminal extends, on the right and on the left
+        self.scanned = tuple(frozenset(key[:2] for key in ext
+                                       if key[2] not in aug.nonterminals)
+                             for ext in (right_ext, left_ext))
 
 
 def _distinct_lhs(rule_map, aug):
@@ -449,31 +476,38 @@ def _build_infix(aug, name, merge_lhs):
         lhs = index.complete.get(item.gamma)
         return sorted(item.delta & lhs) if lhs else ()
 
-    open_plan = (1, ("1a", "1b", "2a", "2b"))
-    done_plan = (2, ("1a", "1b", "2a", "2b", "3a", "3b", "4a", "4b"))
+    @cache
+    def predicted(delta, gamma, rightward):
+        """The nonterminals an item may extend `gamma` with on this side, and
+        the terminals that head a rule of a head corner of one of them."""
+        continuations = index.right_nt if rightward else index.left_nt
+        targets = frozenset(_targets(delta, gamma, continuations))
+        return targets, frozenset(
+            a for a, lhss in term_lhs.items()
+            if any((c, b) in pairs for c in lhss for b in targets))
+
+    @cache
+    def plan_of(delta, gamma, right, left):
+        """Read off the early exits: 1a/1b need heads to predict and input
+        left on their side; 2a/2b need input there and a member whose
+        `gamma` a terminal extends there; 3a..4b need a completed member on
+        top, and read the item below it."""
+        rooms = (right, left)
+        alone = [label for label, rightward, room in zip(("1a", "1b"), (True, False), rooms)
+                 if room and predicted(delta, gamma, rightward)[1]]
+        alone += [label for label, ext, room in zip(("2a", "2b"), index.scanned, rooms)
+                  if room and any((x, gamma) in ext for x in delta)]
+        lhs = index.complete.get(gamma)
+        done = lhs and not delta.isdisjoint(lhs)
+        return tuple(alone), (2, ("3a", "3b", "4a", "4b"), None) if done else None
 
     def plan(top):
-        """3a/3b and 4a/4b need a completed member on top, and read the
-        item below it."""
-        lhs = index.complete.get(top.gamma)
-        return done_plan if lhs and not top.delta.isdisjoint(lhs) else open_plan
+        return plan_of(top.delta, top.gamma, top.m < top.j, top.i < top.k)
 
     def predict_scan_side(rightward):
-        continuations = index.right_nt if rightward else index.left_nt
-
-        @cache
-        def predicted(delta, gamma):
-            """The nonterminals an item may extend `gamma` with on this
-            side, and the terminals that head a rule of a head corner of
-            one of them."""
-            targets = frozenset(_targets(delta, gamma, continuations))
-            return targets, frozenset(
-                a for a, lhss in term_lhs.items()
-                if any((c, b) in pairs for c in lhss for b in targets))
-
         def matcher(stack, tokens):
             top = stack[-1]
-            targets, heads = predicted(top.delta, top.gamma)
+            targets, heads = predicted(top.delta, top.gamma, rightward)
             if not targets:
                 return
             lo, hi = (top.m, top.j) if rightward else (top.i, top.k)

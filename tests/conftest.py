@@ -26,6 +26,14 @@ DEEP_GHG = "start S\nS -> %s(a)%s\n" % ("(a " * (DEEP_DEPTH - 1),
                                         " ())" * (DEEP_DEPTH - 1))
 
 
+def successors(clauses, stack, tokens):
+    """Every step (label, popped, item, consulted) the clauses allow on
+    `stack`, computed afresh: what a run's tables record and replay."""
+    for clause in clauses:
+        for popped, item, consulted in clause.matcher(stack, tokens):
+            yield clause.label, popped, item, consulted
+
+
 class Explored(NamedTuple):
     stacks: set
     consulted: set
@@ -34,15 +42,14 @@ class Explored(NamedTuple):
 def explore(automaton, tokens):
     """The reference a run is checked against: the stacks and every path's
     consulted sets over all (stack, consulted set) states reachable by
-    `engine._successors` on whole stacks.  No table, pruning or bounds; a
+    `successors` on whole stacks.  No table, pruning or bounds; a
     case with more than 200,000 states fails instead of hanging."""
     tokens = tuple(tokens)
     states = {((automaton.make_init(len(tokens)),), frozenset())}
     work = list(states)
     while work:
         stack, consulted = work.pop()
-        for _, popped, item, pos in engine._successors(
-                automaton.clauses, stack, tokens):
+        for _, popped, item, pos in successors(automaton.clauses, stack, tokens):
             state = (stack[:len(stack) - popped] + (item,),
                      consulted if pos is None else consulted | {pos})
             if state not in states:

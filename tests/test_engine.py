@@ -8,12 +8,13 @@ import pytest
 
 from headparse import (EngineError, Verdict, accepting_trace, augment,
                        build_ghi, build_hc, detect_cyclic,
-                       detect_head_recursion, embed, engine, replay,
+                       detect_head_recursion, embed, replay,
                        render_trace_text, run, trace_records)
 from headparse.corpus import (all_inputs, eligible, gen_eligible,
                               gen_grammar_corpus, head_grammar_corpus)
 from headparse.recognizers_basic import build_td
-from conftest import FLAT_BUILDERS, counting_copy, explore, hg, trace_stacks
+from conftest import (FLAT_BUILDERS, counting_copy, explore, hg, successors,
+                      trace_stacks)
 
 
 def test_td_accepts_single_terminal():
@@ -160,7 +161,7 @@ def test_consulted_positions_monotone_along_trace(tiny_grammar):
     trace = accepting_trace(run(auto, tokens))
     consulted = set()
     for step, cur in zip(trace.steps, trace_stacks(trace.initial, trace.steps)):
-        for label, popped, item, pos in engine._successors(auto.clauses, cur, tokens):
+        for label, popped, item, pos in successors(auto.clauses, cur, tokens):
             if (label, popped, item) == step:
                 before = set(consulted)
                 if pos is not None:
@@ -225,38 +226,57 @@ def _window_cases():
 
 
 def _steps(clauses, stack, tokens):
-    return list(engine._successors(clauses, stack, tokens))
+    return list(successors(clauses, stack, tokens))
 
 
-def _planned(automaton, top):
-    """The top's window size and the clauses its plan names, in order."""
-    reach, labels = automaton.plan(top)
-    by_label = {clause.label: clause for clause in automaton.clauses}
-    return reach, [by_label[label] for label in labels]
+def _groups(automaton, stack):
+    """The stack's planned groups, in order, as (window, clauses): the
+    clauses that read the top alone on the top, then those of the window
+    group, guarded by the item below, on the top `reach` items."""
+    alone, window = automaton.plan(stack[-1])
+    groups = [(stack[-1:], automaton.named(alone))]
+    if window is not None:
+        reach, labels, guard = window
+        if guard is not None and len(stack) > 1:
+            guarded = guard(stack[-2])
+            assert set(guarded) <= set(labels)
+            labels = guarded
+        groups.append((stack[-reach:], automaton.named(labels)))
+    return groups
+
+
+def _reach(automaton, top):
+    window = automaton.plan(top)[1]
+    return 1 if window is None else window[0]
 
 
 def test_clauses_read_only_their_window():
-    # the steps of a stack are a function of its top `reach` items, which
-    # is what lets one run share them between stacks, and the clauses its
-    # plan leaves out find none of them; every step pops items of the
-    # window and pushes one, popping no more than the recognizer allows
+    # the planned groups on their windows yield exactly the steps that all
+    # clauses yield on the whole stack, which is what lets one run share
+    # them between stacks: the clauses a plan or its guard leaves out find
+    # none of them; every step pops items of the window and pushes one,
+    # popping no more than the recognizer allows
     deepest = {}
     popped_most = {}
     checked = 0
     for automaton, inputs, most in _window_cases():
         name = automaton.name
+        order = [clause.label for clause in automaton.clauses]
         for tokens in inputs:
             stacks = explore(automaton, tokens).stacks
             result = run(automaton, tokens, exhaustive=True)
             assert result.stats.configurations_explored == len(stacks)
             for stack in stacks:
-                reach, planned = _planned(automaton, stack[-1])
-                window = stack[-reach:]
-                steps = _steps(automaton.clauses, window, tokens)
-                assert _steps(automaton.clauses, stack, tokens) == steps
-                assert _steps(planned, window, tokens) == steps
+                groups = _groups(automaton, stack)
+                planned = [clause.label for _, clauses in groups for clause in clauses]
+                assert planned == sorted(planned, key=order.index)
+                steps = _steps(automaton.clauses, stack, tokens)
+                assert [step for window, clauses in groups
+                        for step in _steps(clauses, window, tokens)] == steps
+                reach = _reach(automaton, stack[-1])
+                assert _steps(automaton.clauses, stack[-reach:], tokens) == steps
                 for _, popped, _, _ in steps:
-                    assert 0 <= popped <= len(window) and popped <= most
+                    assert 0 <= popped <= min(reach, len(stack)) and popped <= most
                     popped_most[name] = max(popped_most.get(name, 0), popped)
                 deepest[name] = max(deepest.get(name, 0), reach)
                 checked += 1
@@ -269,27 +289,37 @@ def test_clauses_read_only_their_window():
 
 def test_matchers_run_only_as_planned():
     # a copy with wrapped matchers, as a tracer that times them makes it,
-    # calls each planned clause at most once per window and no other
+    # calls each planned clause on its group's window and no other: a
+    # clause that reads the top alone at most once per top item, and a
+    # window clause at most once per window
     for automaton, inputs, _ in _window_cases():
         for tokens in inputs:
             _, calls = _counted_run(automaton, tokens)
-            for (label, window), count in Counter(calls).items():
-                reach, labels = automaton.plan(window[-1])
-                assert label in labels and len(window) <= reach
-                assert count == 1
+            for label, window in calls:
+                groups = _groups(automaton, window)
+                if label in [clause.label for clause in groups[0][1]]:
+                    assert len(window) == 1
+                else:
+                    assert len(groups) == 2 and window == groups[1][0]
+                    assert label in [clause.label for clause in groups[1][1]]
+            assert all(count == 1 for count in Counter(calls).values())
 
 
 def _counted_run(automaton, tokens):
-    """An exhaustive run, and the (clause label, window) of every matcher
-    call it made."""
+    """An exhaustive run of a counting copy made after the automaton ran,
+    and the (clause label, window) of every matcher call it made: the copy
+    resolves its plans' labels in its own clauses."""
+    expected = run(automaton, tokens, exhaustive=True).stats
     counting, calls = counting_copy(automaton)
     result = run(counting, tokens, exhaustive=True)
-    assert result.stats == run(automaton, tokens, exhaustive=True).stats
+    assert result.stats == expected
+    assert calls or not expected.clause_applications
     return result, calls
 
 
 def _windows(automaton, stacks):
-    return {stack[-automaton.plan(stack[-1])[0]:] for stack in stacks}
+    """The distinct windows the stacks' planned groups read."""
+    return {window for stack in stacks for window, _ in _groups(automaton, stack)}
 
 
 AMBIGUOUS = hg("S", ("S", "S *S"), ("S", "*a"))
@@ -307,9 +337,10 @@ def test_matchers_run_once_per_distinct_window():
 
 
 def test_hi_windows_are_sized_by_the_top_item():
-    # hi's clauses read one item unless a rule is finished on top; keyed by
-    # a fixed window of 1 + its longest right-hand side (3 items here), its
-    # matchers would run on more than twice as many windows
+    # hi's pushes read the top alone, and its reductions the top and the
+    # items below it only when a rule is finished on top; keyed by a fixed
+    # window of 1 + its longest right-hand side (3 items here), its matchers
+    # would run on more than twice as many windows
     automaton = FLAT_BUILDERS["hi"](augment(AMBIGUOUS))
     tokens = ("a",) * 10
     result, calls = _counted_run(automaton, tokens)
@@ -398,3 +429,16 @@ def test_concurrent_runs_agree_with_serial_ones(collector):
     assert not any(thread.is_alive() for thread in threads)
     assert failures == []
     assert gc.isenabled()
+
+
+@pytest.mark.parametrize("grammar, tokens, most", [
+    (AMBIGUOUS, ("a",) * 8, 4_332),
+    (hg("S", ("S", "*a S b"), ("S", "*c")), ("a",) * 8 + ("c",) + ("b",) * 7, 2_268),
+])
+def test_hi_pushes_run_once_per_top_item(grammar, tokens, most):
+    # hi's pushes (1a..2b) read the top alone, so they run once per top item
+    # and not again for each window under a finished top: as many calls as
+    # if the pushes had been asked once per distinct top, or fewer
+    automaton = FLAT_BUILDERS["hi"](augment(grammar))
+    _, calls = _counted_run(automaton, tokens)
+    assert len(calls) <= most

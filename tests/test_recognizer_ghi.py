@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from headparse import Verdict, augment, engine, run
@@ -10,7 +12,7 @@ from headparse.recognizer_ghi import (DoneItem, FullItem, LeftOpenItem,
                                       gotoright, left_set, right_set, yld)
 from headparse.recognizers_basic import build_hc
 from headparse.transform import GenHeadRule, Tree, embed, tau_head
-from conftest import accepts, explore, hg
+from conftest import accepts, explore, hg, successors
 
 C_A_B = Tree("A", Tree("c"), Tree("b"))
 A_D = Tree("A", None, Tree("d"))
@@ -182,7 +184,6 @@ def test_ghi_clause_labels():
 def test_empty_subtree_conversions_confluent(tree_demo_grammar):
     # a leaf tree may drop its (absent) subtrees in either order; both
     # orders funnel into the same completed items
-    from headparse.engine import _successors
     auto = build_ghi(tree_demo_grammar)
     tokens = ("a",)
     leaf_full = FullItem(0, 0, frozenset({Tree("a")}), 1, 1)
@@ -192,7 +193,7 @@ def test_empty_subtree_conversions_confluent(tree_demo_grammar):
         if depth == 0 or type(cfg[-1]) is DoneItem:
             return {cfg[-1]} if type(cfg[-1]) is DoneItem else set()
         out = set()
-        for label, popped, item, _ in _successors(auto.clauses, cfg, tokens):
+        for label, popped, item, _ in successors(auto.clauses, cfg, tokens):
             if label in ("1a", "1b", "1c", "1d"):
                 out |= outcomes(cfg[:len(cfg) - popped] + (item,), depth - 1)
         return out
@@ -201,5 +202,40 @@ def test_empty_subtree_conversions_confluent(tree_demo_grammar):
     assert via_both_orders == {DoneItem(0, Tree("a"), 1)}
     # and both intermediate shapes really occur
     first_steps = {label for label, _, _, _ in
-                   _successors(auto.clauses, stack, tokens) if label in ("1a", "1b")}
+                   successors(auto.clauses, stack, tokens) if label in ("1a", "1b")}
     assert first_steps == {"1a", "1b"}
+
+
+# the shape of the item below the top that each attachment reads
+BELOW_SHAPES = {"4a": FullItem, "4b": FullItem, "6a": FullItem, "6b": FullItem,
+                "5a": RightOpenItem, "7a": RightOpenItem,
+                "5b": LeftOpenItem, "7b": LeftOpenItem}
+
+
+def test_attachments_see_only_their_below_shape():
+    # the plan's guard on the item below a done top runs 4a..7b only over
+    # the shape each reads, across the acceptance gate's tree corpus
+    seen = {}
+    wrong = []
+
+    def checked(clause):
+        shape = BELOW_SHAPES.get(clause.label)
+        if shape is None:
+            return clause
+
+        def matcher(window, tokens):
+            seen[clause.label] = seen.get(clause.label, 0) + 1
+            if len(window) > 1 and type(window[-2]) is not shape:
+                wrong.append((clause.label, window[-2]))
+            return clause.matcher(window, tokens)
+        return dataclasses.replace(clause, matcher=matcher)
+
+    inputs = all_inputs(("a", "b"), 5)
+    for g in gen_grammar_corpus(100, seed=27182):
+        automaton = build_ghi(g)
+        guarded = dataclasses.replace(
+            automaton, clauses=tuple(map(checked, automaton.clauses)))
+        for tokens in inputs:
+            run(guarded, tokens, max_steps=200_000)
+    assert wrong == []
+    assert set(seen) == set(BELOW_SHAPES)

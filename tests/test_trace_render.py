@@ -103,7 +103,7 @@ def _stub_automaton(collapse_rows):
     """Items are ints rendered as that many 'x's, so 0 renders empty."""
     return engine.Automaton("stub", (), lambda n: 0, lambda n: 0,
                             lambda item: "x" * item,
-                            collapse_rows=collapse_rows, plan=lambda top: (1, ()))
+                            collapse_rows=collapse_rows, plan=lambda top: ((), None))
 
 
 @st.composite
