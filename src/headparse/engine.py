@@ -489,12 +489,13 @@ def _row_changes(automaton: Automaton, trace: Trace):
 
     So each row costs item work only for what changed, and the texts come
     from a memo that lives for this call: a trace k deep renders O(k)
-    distinct items instead of O(k^2) stacked ones.  Keying the memo by
-    item equality is safe because `render_item` reads nothing but the
-    item, and equal items of one automaton have one class: no two of its
-    item classes hold equal tuples (ghi's four shapes differ in arity, or
-    in where the frozenset sits), so NamedTuples of two classes never
-    compare equal.
+    distinct items instead of O(k^2) stacked ones, and a row shares the
+    text objects of the items it keeps with the row before it.  Keying
+    the memo by item equality is safe because `render_item` reads nothing
+    but the item, and equal items of one automaton have one class: no two
+    of its item classes hold equal tuples (ghi's four shapes differ in
+    arity, or in where the frozenset sits), so NamedTuples of two classes
+    never compare equal.
     """
     text = cache(automaton.render_item)
     stack = list(trace.initial)
@@ -511,32 +512,34 @@ def _row_changes(automaton: Automaton, trace: Trace):
 def render_trace_text(automaton: Automaton, trace: Trace) -> str:
     """The trace as a two-column table, one stack per row.
 
-    A row's text is the previous row's text up to where its shared items
-    end, plus the new items joined.  A first pass takes the column width
-    from the items' lengths alone, so the text is held at most twice: as
-    the padded lines and as their join.
+    The table is built as a rope: one list of parts, joined once.  A row
+    adds its stack's item texts, each after the first with its leading
+    space and shared with the rows that keep that item; its padding, as
+    power-of-two blocks of spaces shared by every row; and its label.  A
+    first pass takes the column width from the texts' lengths.  So the
+    text exists once, as the join, and the parts cost one pointer per
+    stacked item per row.
     """
-    rows = list(_row_changes(automaton, trace))
-    width = len("Stack")
-    cuts = []  # per row: where its shared items end in the previous text
+    rows = []
     ends = []  # where each item of the current row ends in its text
-    for _, shared, new in rows:
-        cuts.append(ends[shared - 1] if shared else 0)
+    for label, shared, new in _row_changes(automaton, trace):
+        new = [" " + text if shared or at else text for at, text in enumerate(new)]
         del ends[shared:]
-        end = ends[-1] + 1 if ends else 0
         for text in new:
-            end += len(text)
-            ends.append(end)
-            end += 1
-        if ends and ends[-1] > width:
-            width = ends[-1]
-    lines = ["%-*s | %s" % (width, "Stack", "Clause")]
-    text = ""
-    for (label, shared, new), cut in zip(rows, cuts):
-        text = " ".join([text[:cut]] + new if shared else new)
-        lines.append("%-*s | %s" % (width, text, "" if label is None else label))
-    lines.append("")  # the join then ends with a newline, with no extra copy
-    return "\n".join(lines)
+            ends.append((ends[-1] if ends else 0) + len(text))
+        rows.append((label, shared, new, ends[-1] if ends else 0))
+    width = max(len("Stack"), *(length for *_, length in rows))
+    blocks = [" " * (1 << bit) for bit in range(width.bit_length())]
+    parts = ["%-*s | %s\n" % (width, "Stack", "Clause")]
+    stack = []
+    for label, shared, new, length in rows:
+        del stack[shared:]
+        stack += new
+        parts += stack
+        pad = width - length
+        parts += [block for bit, block in enumerate(blocks) if pad >> bit & 1]
+        parts.append(" | %s\n" % ("" if label is None else label))
+    return "".join(parts)
 
 
 def trace_records(automaton: Automaton, trace: Trace) -> list:
@@ -544,6 +547,7 @@ def trace_records(automaton: Automaton, trace: Trace) -> list:
     records = []
     texts = []
     for label, shared, new in _row_changes(automaton, trace):
-        texts = texts[:shared] + new
+        texts = texts[:shared]
+        texts += new
         records.append({"clause": label, "stack": texts})
     return records

@@ -292,11 +292,17 @@ def build_ghi(g: GenHeadGrammar) -> Automaton:
         attach_rule("7b", LeftOpenItem, False),
     )
 
+    @cache
+    def set_body(q):
+        return "{%s}" % ", ".join(map(render_element, ordered(q)))
+
     def render_item(item):
+        """One format per item: element texts are memoised per element, and
+        a set's body per set `q`."""
         kind = type(item)
         if kind is DoneItem:
             return "[%d, %s, %d]" % (item.k, render_element(item.t), item.m)
-        body = "{%s}" % ", ".join(map(render_element, ordered(item.q)))
+        body = set_body(item.q)
         if kind is FullItem:
             return "[%d, %d, %s, %d, %d]" % (item.i, item.k, body, item.m, item.j)
         if kind is RightOpenItem:

@@ -107,13 +107,16 @@ gotoleft2 = _make_goto2(False)
 
 
 def _render_hi(aug):
-    from .recognizers_basic import Dotted, _dotted_text
+    """hi items; the element list is memoised per set `q`, so an item costs
+    one format."""
+    from .recognizers_basic import _dotted_text
+
+    @cache
+    def elements(q):
+        return ", ".join(_dotted_text(aug, *element) for element in sorted(q))
 
     def render(item):
-        elements = ", ".join(
-            _dotted_text(aug, Dotted(0, 0, rid, ld, rd, 0, 0))
-            for rid, ld, rd in sorted(item.q))
-        return "[%d, %d, {%s}, %d, %d]" % (item.i, item.k, elements, item.m, item.j)
+        return "[%d, %d, {%s}, %d, %d]" % (item.i, item.k, elements(item.q), item.m, item.j)
     return render
 
 

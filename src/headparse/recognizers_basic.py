@@ -31,7 +31,7 @@ appear, its inner span (k, m] is what has been recognized already.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, partial
 from typing import NamedTuple
 
 from .engine import Automaton, Clause, positions
@@ -69,21 +69,27 @@ class SetInfix(NamedTuple):
 
 # ---------------------------------------------------------------- rendering
 
-def _dotted_text(aug, item):
-    r = aug.rules[item.rule]
-    parts = list(r.rhs[:item.ld]) + ["•"] + list(r.rhs[item.ld:item.rd]) \
-        + ["•"] + list(r.rhs[item.rd:])
+def _dotted_text(aug, rule, ld, rd):
+    r = aug.rules[rule]
+    parts = list(r.rhs[:ld]) + ["•"] + list(r.rhs[ld:rd]) + ["•"] + list(r.rhs[rd:])
     return "%s -> %s" % (r.lhs, " ".join(parts))
 
 
 def _render_td(aug):
+    """td and hc items; the dotted rule's text is memoised per (rule, ld,
+    rd), so an item costs one format."""
+    dotted = cache(partial(_dotted_text, aug))
+
     def render(item):
         if type(item) is Goal:
             return "[%d, %s, %d]" % (item.i, item.sym, item.j)
-        return "[%d, %d, %s, %d, %d]" % (item.i, item.k, _dotted_text(aug, item),
-                                         item.m, item.j)
+        return "[%d, %d, %s, %d, %d]" % (
+            item.i, item.k, dotted(item.rule, item.ld, item.rd), item.m, item.j)
     return render
 
+
+# phi and ehi items render in one format over the item's own infix, with
+# no per-state memo
 
 def _render_infix(item):
     (lhs,) = item.delta

@@ -7,6 +7,8 @@ They must agree byte for byte on every kind of row change the
 recognizers make, and on arbitrary step sequences.
 """
 
+import hashlib
+import json
 import sys
 import tracemalloc
 
@@ -14,12 +16,13 @@ from hypothesis import given, settings, strategies as st
 import pytest
 
 from headparse import (accepting_trace, augment, build_ghi, embed, engine,
-                       enumerate_language, parse_ghg, render_trace_text, run,
-                       trace_records)
+                       enumerate_language, parse_ghg, parse_hg,
+                       render_trace_text, run, trace_records)
 from headparse.corpus import (all_inputs, eligible, gen_eligible,
                               gen_grammar_corpus, head_grammar_corpus)
 from conftest import (DEMO_GHG, FLAT_BUILDERS, hg, reference_trace_records,
                       reference_trace_text)
+from test_stacks import ROOT, _child
 
 CENTER = hg("S", ("S", "*a S b"), ("S", "*c"))
 CENTER_HI = hg("S", ("S", "a *S b"), ("S", "*c"))
@@ -70,8 +73,10 @@ def test_corpus_traces_match_reference():
 @pytest.mark.parametrize("name", ["td", "hc", "phi", "ehi", "hi", "ghi"])
 def test_deep_traces_match_reference(name):
     automaton = center_automaton(name)
-    assert_matches_reference(automaton,
-                             accepting_trace(run(automaton, center_input(50))))
+    trace = accepting_trace(run(automaton, center_input(50)))
+    assert_matches_reference(automaton, trace)
+    records = trace_records(automaton, trace)  # no two records share a list
+    assert len({id(record["stack"]) for record in records}) == len(records)
 
 
 def test_collapsed_ghi_rows_match_reference():
@@ -126,8 +131,8 @@ def test_arbitrary_stack_sequences_match_reference(trace, collapse_rows):
     assert_matches_reference(_stub_automaton(collapse_rows), trace)
 
 
-def test_render_peak_memory_is_about_twice_the_text():
-    # the text is held at most twice: as padded lines and as their join
+def test_render_peak_memory_is_about_the_text():
+    # the text is held once, as the join of parts that share item texts
     automaton = center_automaton("ghi")
     trace = accepting_trace(run(automaton, center_input(150)))
     tracemalloc.start()
@@ -136,4 +141,124 @@ def test_render_peak_memory_is_about_twice_the_text():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * sys.getsizeof(text)
+    assert peak <= 1.3 * sys.getsizeof(text)
+
+
+# a fresh parent per command waits for that command alone, so its peak is
+# that command's, whatever children this process waited for before
+PEAK_OF = ("import os, resource, subprocess, sys\n"
+           "with open(sys.argv[1], 'w', encoding='utf-8') as out:\n"
+           "    subprocess.run(sys.argv[2:], stdout=out, check=True,\n"
+           "                   env={**os.environ, 'PYTHONIOENCODING': 'utf-8'})\n"
+           "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
+
+
+def test_cli_trace_peak_memory_is_about_the_text(tmp_path):
+    grammar = tmp_path / "center.hg"
+    grammar.write_text("start S\nS -> *a S b\nS -> *c\n")
+    command = [sys.executable, "-m", "headparse", "recognize", "--grammar", str(grammar),
+               "--algorithm", "ghi", "--embed", "--chars",
+               "--input", "".join(center_input(150))]
+    peaks_kb = []
+    for extra in ([], ["--trace"]):
+        done, _ = _child([sys.executable, "-c", PEAK_OF, str(tmp_path / "out.txt")]
+                         + command + extra)
+        assert done.returncode == 0, done.stderr
+        peaks_kb.append(int(done.stdout))
+    text = (tmp_path / "out.txt").read_text(encoding="utf-8")
+    assert text.startswith("Stack")
+    assert (peaks_kb[1] - peaks_kb[0]) * 1024 <= 1.4 * sys.getsizeof(text), peaks_kb
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def trace_digests():
+    """sha256 of `render_trace_text` and of the JSON of `trace_records` per
+    recognizer and case: a^k c b^k for k in 25 and 150 on the deep
+    workload's grammars, and every accepted input up to length 4 of the
+    demo grammars (demo.hg for the five flat recognizers, demo.ghg for
+    ghi), those inputs' texts hashed together in sorted order."""
+    cases = {}
+    for name in ("td", "hc", "phi", "ehi", "hi", "ghi"):
+        automaton = center_automaton(name)
+        for k in (25, 150):
+            cases["%s a^%d c b^%d" % (name, k, k)] = (automaton, [center_input(k)])
+    demo = augment(parse_hg((ROOT / "grammars" / "demo.hg").read_text()))
+    inputs = sorted(enumerate_language(demo, 4))
+    for name, builder in FLAT_BUILDERS.items():
+        cases["%s demo.hg" % name] = (builder(demo), inputs)
+    demo_ghg = parse_ghg((ROOT / "grammars" / "demo.ghg").read_text())
+    cases["ghi demo.ghg"] = (build_ghi(demo_ghg), sorted(enumerate_language(demo_ghg, 4)))
+    digests = {}
+    for key, (automaton, inputs) in cases.items():
+        traces = [accepting_trace(run(automaton, tokens)) for tokens in inputs]
+        text = "".join(render_trace_text(automaton, trace) for trace in traces)
+        records = "".join(json.dumps(trace_records(automaton, trace)) for trace in traces)
+        digests[key] = (_sha256(text), _sha256(records))
+    return digests
+
+
+# recorded from the renderer that built each row as a string; however
+# rendering builds its output, the output stays byte for byte the same
+TRACE_DIGESTS = {
+    "td a^25 c b^25": (
+        "89e4034878755fe4c1ec2f65abeea0e14d00ba60c84750a9f29a8e15ed1e9e74",
+        "1cb48e2632a7b1b587134c3cfc305c15f5ed79e1b5649c9dd1441091a7b34708"),
+    "td a^150 c b^150": (
+        "fc0c78a31bb9a5933a820024cf3d8e024595164957f7607be28ff2b4001b0658",
+        "8955ecc917f7918bb039cc41ab66fcdcec5eafe912ca68546ccd39f02ba89efa"),
+    "hc a^25 c b^25": (
+        "3a8b13f2654c2195f48cff84e8f14243dafb2c8763536adde03a6b1a724abc72",
+        "6dcf7474b14959948977fffb56cfd12260014917566a8ab386505870e5e532a0"),
+    "hc a^150 c b^150": (
+        "5bb333c554341e5976acb69d422ad1a05b4c0f08f34e4b797a411778ef8e9219",
+        "d14879b718148af12a9595e86a9276bcd7df2712da6bf433463de9fb2fe646e3"),
+    "phi a^25 c b^25": (
+        "49e65bb687e74f18f6047c2f51fece7e6f26099c4f3f339d56fd2e41af8a8de5",
+        "26f6861fb6a022fa1d0fa75219462e60292185bed6a2d41c697299a60c80abfd"),
+    "phi a^150 c b^150": (
+        "2f5ba5f5454711f83bf3d7b01a627427efbcd3821d8063ab5b4eec49151d3676",
+        "92f8782ad077668e65c04a4f861ad10aab4083238f71ad0195964077cfa7bf86"),
+    "ehi a^25 c b^25": (
+        "5a0d8361772b4ff87ecc87ede61f2bc70f774cdd757161d672513cb8eb7b1d5f",
+        "2ffa45d9194f7f5d63885768f4b25e62988d7799e0d49942d9fafb9705c2ce72"),
+    "ehi a^150 c b^150": (
+        "952cbcb3670010115c8a8a6785127b13520df1e0807b53665299e4b4c7492520",
+        "3a4968112008bdca7bc1f7bc6a814a15287bb940c69acc33497f2c7a0894c96a"),
+    "hi a^25 c b^25": (
+        "7cfb14e2357eae9d2fd514bf746a8aa7c6639bc33335d53193c84a8eea75314f",
+        "2a2902875687398d0edff2a06177b074adea8f86067c9ae8a1d7480b213a1f2c"),
+    "hi a^150 c b^150": (
+        "240efaadd87cebfcacfae90bf1e75f81e4a5e05012180ead8af740559933ad9d",
+        "102fc776a1dd232278bdc2be64975a0573e40ea47f434f0c226b0fd1ee35a322"),
+    "ghi a^25 c b^25": (
+        "909b4bd2deebebbfb4811a03a0732578a923bf82fa7c69d388bda096d71f6414",
+        "84f66cc8c5b4f8ccbaada52ba170bf7b3437a230fb929387849c46c527d84825"),
+    "ghi a^150 c b^150": (
+        "c146c8db1dc2e1403b940505f0caaf10d089bd1d8070214662f9cd05c59095f8",
+        "f4a7917126cde0640332b86e3e4f64eb7058ce7f130dfcb5b460db6b35077cea"),
+    "td demo.hg": (
+        "e43b7f0ddcecfbb9010cb9dff331dfd5037bc6282e69e0fc93fc5b9ada01d7a7",
+        "8875815f1e1f7844349cb9eb0586bd3f8817b2ee678b162a3ecae606965420ce"),
+    "hc demo.hg": (
+        "d9b1e2b8c1b0155edf48d253b431dd5a3b772ccbfbdc176550f69ba8fb58ca02",
+        "619c770bb962509f66a6022b039db0f6a79dd3dc9204758e7b90632da4c9ee1e"),
+    "phi demo.hg": (
+        "9ca205122c14e02d9ae71afdc4b5450bd3771aa2d5ea7a3114170c32b19247bd",
+        "f6dc42beced2f962d498f1c3d18f3f2507479df7cdfc40716544abe71ad6b2d1"),
+    "ehi demo.hg": (
+        "13e02161bdd7ec3ba9b9128b505813a8881004a61c1b80508ceb535eb3a62751",
+        "eef40e741af44a13b35a21a41f5709dad6a55fadd121ff54d520361ea4947661"),
+    "hi demo.hg": (
+        "5ea78812e07889b32da116eb0dd506de168a66172c65b641ff8a98bcda61158b",
+        "3c1f51a2d3641657aae64dff0588bd74933bb8097a9c4a14791400bcf8c1aae2"),
+    "ghi demo.ghg": (
+        "b8fb7ec4963e41789c0d8e80bc5dd37d7ee642fd2107aa70aa5a1b120fd93076",
+        "f6b9fa26510c05b4aedd0cc18b5309f1a3de11ddb8b499e94f989ee22bcf4748"),
+}
+
+
+def test_trace_digests_are_unchanged():
+    assert trace_digests() == TRACE_DIGESTS
