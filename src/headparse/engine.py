@@ -485,65 +485,102 @@ def _row_changes(automaton: Automaton, trace: Trace):
     """(label, shared, new texts) per display row, the initial stack first
     with label None: the row's stack keeps the first `shared` items of the
     row before it, the smallest depth its steps pop down to, and `new
-    texts` render the items above them.
+    texts`, a list of its own, renders the items above them.
 
-    So each row costs item work only for what changed, and the texts come
-    from a memo that lives for this call: a trace k deep renders O(k)
-    distinct items instead of O(k^2) stacked ones, and a row shares the
-    text objects of the items it keeps with the row before it.  Keying
-    the memo by item equality is safe because `render_item` reads nothing
-    but the item, and equal items of one automaton have one class: no two
-    of its item classes hold equal tuples (ghi's four shapes differ in
-    arity, or in where the frozenset sits), so NamedTuples of two classes
-    never compare equal.
+    The pass tracks depths, not items: a row's steps each pop down to a
+    depth and push one item, so the items above `shared` are the ones its
+    steps pushed that no later step of the row popped.  Each item is
+    rendered once, as the initial stack or its step is read, with no memo.
+    Without a row-merging convention each row is one step, which keeps
+    what it did not pop and shows the item it pushed.
     """
-    text = cache(automaton.render_item)
-    stack = list(trace.initial)
-    yield None, 0, list(map(text, stack))
-    for label, steps in trace_rows(automaton, trace):
-        shared = len(stack)
+    text = automaton.render_item
+    depth = len(trace.initial)
+    yield None, 0, list(map(text, trace.initial))
+    if automaton.collapse_rows is None:
+        for label, popped, item in trace.steps:
+            depth -= popped
+            yield label, depth, [text(item)]
+            depth += 1
+        return
+    for label, steps in automaton.collapse_rows(trace.steps):
+        shared = depth
+        new = []  # the texts of the items at depths shared .. depth - 1
         for step in steps:
-            del stack[len(stack) - step.popped:]
-            shared = min(shared, len(stack))
-            stack.append(step.item)
-        yield label, shared, list(map(text, stack[shared:]))
+            depth -= step.popped
+            if depth < shared:
+                shared = depth
+                new = []
+            else:
+                del new[depth - shared:]
+            new.append(text(step.item))
+            depth += 1
+        yield label, shared, new
+
+
+# item texts per shared block string of a trace table's rope
+BLOCK = 16
+# most rows' pads differ, so a pad is memoised in two parts, pad & PAD_LOW
+# and the rest: a trace w wide has at most PAD_LOW + 1 + w / (PAD_LOW + 1)
+PAD_LOW = 63
 
 
 def render_trace_text(automaton: Automaton, trace: Trace) -> str:
     """The trace as a two-column table, one stack per row.
 
-    The table is built as a rope: one list of parts, joined once.  A row
-    adds its stack's item texts, each after the first with its leading
-    space and shared with the rows that keep that item; its padding, as
-    power-of-two blocks of spaces shared by every row; and its label.  A
-    first pass takes the column width from the texts' lengths.  So the
-    text exists once, as the join, and the parts cost one pointer per
-    stacked item per row.
+    The table is built as a rope: one list of parts, joined once.  A first
+    pass takes the column width from the item texts' lengths, each text
+    after a row's first with its leading space.  Then a row adds its
+    stack's texts, its padding and its ` | label` tail.  Each run of
+    `BLOCK` texts, counted from the bottom of the stack, is joined into one
+    string once the run is complete, and every later row that keeps those
+    items shares that string, so a row adds O(BLOCK + depth / BLOCK)
+    parts.  The padding is power-of-two blocks of spaces, listed once per
+    pad width's low and high part, and the tail is made once per label.
+    So a row costs O(1) Python-level work plus its share of the text,
+    which exists once, as the join: on the 24 deep benchmark traces
+    (7,892 rows, 24 MB) about 3 µs of Python work per row against about
+    5 ms for the join (2-core VM, Python 3.11.7).
     """
     rows = []
-    ends = []  # where each item of the current row ends in its text
+    ends = [0]  # ends[d]: where the row's first d items end in its text
     for label, shared, new in _row_changes(automaton, trace):
-        new = [" " + text if shared or at else text for at, text in enumerate(new)]
-        del ends[shared:]
-        for text in new:
-            ends.append((ends[-1] if ends else 0) + len(text))
-        rows.append((label, shared, new, ends[-1] if ends else 0))
-    width = max(len("Stack"), *(length for *_, length in rows))
+        del ends[shared + 1:]
+        end = ends[-1]
+        for at, text in enumerate(new):
+            if shared or at:
+                new[at] = text = " " + text
+            end += len(text)
+            ends.append(end)
+        rows.append((label, shared, new, end))
+    width = max(len("Stack"), *(end for *_, end in rows))
     blocks = [" " * (1 << bit) for bit in range(width.bit_length())]
+    pads = cache(lambda pad: [block for bit, block in enumerate(blocks) if pad >> bit & 1])
+    tails = cache(lambda label: " | %s\n" % ("" if label is None else label))
     parts = ["%-*s | %s\n" % (width, "Stack", "Clause")]
-    stack = []
-    for label, shared, new, length in rows:
+    stack = []  # the row's item texts
+    joined = []  # joined[j]: the join of stack[j * BLOCK:(j + 1) * BLOCK]
+    for label, shared, new, end in rows:
         del stack[shared:]
+        del joined[shared // BLOCK:]
         stack += new
-        parts += stack
-        pad = width - length
-        parts += [block for bit, block in enumerate(blocks) if pad >> bit & 1]
-        parts.append(" | %s\n" % ("" if label is None else label))
+        done = len(joined) * BLOCK
+        while done + BLOCK <= len(stack):
+            joined.append("".join(stack[done:done + BLOCK]))
+            done += BLOCK
+        parts += joined
+        parts += stack[done:]
+        pad = width - end
+        parts += pads(pad & PAD_LOW)
+        parts += pads(pad & ~PAD_LOW)
+        parts.append(tails(label))
     return "".join(parts)
 
 
 def trace_records(automaton: Automaton, trace: Trace) -> list:
-    """Structured trace: one record per display row."""
+    """Structured trace: one record per display row, each with a list of
+    its own: the previous row's texts cut to what the row keeps, extended
+    by its new ones."""
     records = []
     texts = []
     for label, shared, new in _row_changes(automaton, trace):
