@@ -189,46 +189,63 @@ def build_ghi(g: GenHeadGrammar) -> Automaton:
     def make_fin(n):
         return DoneItem(-1, start_rule, n)
 
-    def found(item, rightward, edge, q2):
-        """The items `item` becomes once its members `q2` have the subtree on
-        one side found, ending at `edge`: a full item is left open on the
-        other side only; a half-open item is done, one item per member."""
+    def found(q2, shape):
+        """The states of the items an item of `shape` becomes once its
+        members `q2` have the subtree on one side found: a full item stays
+        one item, left open on the other side only; a half-open item is
+        done, one item per member."""
+        if not q2:
+            return ()
+        return (q2,) if shape is FullItem else ordered(q2)
+
+    def make(item, rightward, edge, state):
+        """The item `item` becomes in `state` with the subtree on one side
+        found, ending at `edge`."""
         if type(item) is FullItem:
             if rightward:
-                yield LeftOpenItem(item.i, item.k, q2, edge)
-            else:
-                yield RightOpenItem(edge, q2, item.m, item.j)
-        else:
-            for t in ordered(q2):
-                yield DoneItem(item.k, t, edge) if rightward else DoneItem(edge, t, item.m)
+                return LeftOpenItem(item.i, item.k, state, edge)
+            return RightOpenItem(edge, state, item.m, item.j)
+        return DoneItem(item.k, state, edge) if rightward else DoneItem(edge, state, item.m)
 
     # -- 1a..1d: empty-subtree conversions ---------------------------------
 
     def empty_side(label, shape, rightward):
+        @cache
+        def emptied(q):
+            return found(select[rightward](q, None), shape)
+
         def matcher(stack, tokens):
             top = stack[-1]
             if type(top) is not shape:
                 return
-            q2 = select[rightward](top.q, None)
-            if q2:
-                for item in found(top, rightward, top.m if rightward else top.k, q2):
-                    yield 1, item, None
+            edge = top.m if rightward else top.k
+            for state in emptied(top.q):
+                yield 1, make(top, rightward, edge, state), None
         return Clause(label, matcher)
 
     # -- 2/3: head scans into a pending subtree window ----------------------
 
     def scan(label, shape, rightward):
+        @cache
+        def heads(q):
+            """The terminals heading a member of the side's set of `q`."""
+            return scan_heads(side_set[rightward](q))
+
+        @cache
+        def fresh(q, a):
+            """The members of the side's set of `q` headed by the token `a`."""
+            if a in nts:  # a token that spells a nonterminal matches nothing
+                return frozenset()
+            return goto_sym(side_set[rightward](q), a)
+
         def matcher(stack, tokens):
             top = stack[-1]
             if type(top) is not shape:
                 return
-            base = side_set[rightward](top.q)
+            q = top.q
             lo, hi = (top.m, top.j) if rightward else (top.i, top.k)
-            for p in positions(tokens, scan_heads(base), lo, hi):
-                a = tokens[p - 1]
-                if a in nts:  # a token that spells a nonterminal matches nothing
-                    continue
-                q2 = goto_sym(base, a)
+            for p in positions(tokens, heads(q), lo, hi):
+                q2 = fresh(q, tokens[p - 1])
                 if q2:
                     yield 0, FullItem(lo, p - 1, q2, p, hi), p
         return Clause(label, matcher)
@@ -236,6 +253,10 @@ def build_ghi(g: GenHeadGrammar) -> Automaton:
     # -- 4/5: attach a completed subtree -----------------------------------
 
     def attach_tree(label, shape, rightward):
+        @cache
+        def attached(q, t):
+            return found(select[rightward](q, t), shape)
+
         def matcher(stack, tokens):
             if len(stack) < 2:
                 return
@@ -247,15 +268,19 @@ def build_ghi(g: GenHeadGrammar) -> Automaton:
                 return
             if (below.m != top.k) if rightward else (below.k != top.m):
                 return
-            q2 = select[rightward](below.q, top.t)
-            if q2:
-                for item in found(below, rightward, top.m if rightward else top.k, q2):
-                    yield 2, item, None
+            edge = top.m if rightward else top.k
+            for state in attached(below.q, top.t):
+                yield 2, make(below, rightward, edge, state), None
         return Clause(label, matcher)
 
     # -- 6/7: attach a completed rule as a new subtree root -----------------
 
     def attach_rule(label, shape, rightward):
+        @cache
+        def rooted(q, lhs):
+            """The members of the side's set of `q` whose root is `lhs`."""
+            return goto_sym(side_set[rightward](q), lhs)
+
         def matcher(stack, tokens):
             if len(stack) < 2:
                 return
@@ -267,7 +292,7 @@ def build_ghi(g: GenHeadGrammar) -> Automaton:
                 return
             if not (below.m <= top.k if rightward else top.m <= below.k):
                 return
-            q2 = goto_sym(side_set[rightward](below.q), top.t.lhs)
+            q2 = rooted(below.q, top.t.lhs)
             if q2:
                 lo, hi = (below.m, below.j) if rightward else (below.i, below.k)
                 yield 1, FullItem(lo, top.k, q2, top.m, hi), None

@@ -184,20 +184,20 @@ def build_hi(aug: AugmentedGrammar) -> Automaton:
         goto = goto1[rightward]
 
         def matcher(stack, tokens):
-            top = stack[-1]
-            heads = side_of(top.q, rightward)[0]
+            i, k, q, m, j = stack[-1]
+            heads = side_of(q, rightward)[0]
             # the position next to the recognized span is clause 2's job
             if rightward:
-                lo, hi = top.m, top.j
-                found = positions(tokens, heads, top.m + 1, top.j)
+                lo, hi = m, j
+                found = positions(tokens, heads, m + 1, j)
             else:
-                lo, hi = top.i, top.k
-                found = positions(tokens, heads, top.i, top.k - 1)
+                lo, hi = i, k
+                found = positions(tokens, heads, i, k - 1)
             for p in found:
                 a = tokens[p - 1]
                 if a in nts:  # a token that spells a nonterminal matches nothing
                     continue
-                q2 = goto(top.q, a)
+                q2 = goto(q, a)
                 if q2:
                     yield 0, HiItem(lo, p - 1, q2, p, hi), p
         return matcher
@@ -206,23 +206,28 @@ def build_hi(aug: AugmentedGrammar) -> Automaton:
         goto = goto2[rightward]
 
         def matcher(stack, tokens):
-            top = stack[-1]
+            i, k, q, m, j = stack[-1]
             if rightward:
-                if top.m < top.j and tokens[top.m] not in nts:
-                    q2 = goto(top.q, tokens[top.m])
+                if m < j and tokens[m] not in nts:
+                    q2 = goto(q, tokens[m])
                     if q2:
-                        yield 0, HiItem(top.i, top.k, q2, top.m + 1, top.j), top.m + 1
+                        yield 0, HiItem(i, k, q2, m + 1, j), m + 1
             else:
-                if top.i < top.k and tokens[top.k - 1] not in nts:
-                    q2 = goto(top.q, tokens[top.k - 1])
+                if i < k and tokens[k - 1] not in nts:
+                    q2 = goto(q, tokens[k - 1])
                     if q2:
-                        yield 0, HiItem(top.i, top.k - 1, q2, top.m, top.j), top.k
+                        yield 0, HiItem(i, k - 1, q2, m, j), k
         return matcher
 
     def _chained(chain):
         # cumulative member items grow outward, each span containing the last
         return all(chain[t].k >= chain[t + 1].k and chain[t].m <= chain[t + 1].m
                    for t in range(len(chain) - 1))
+
+    @cache
+    def reduced(q):
+        """(size, left-hand side) of the finished rules in `q`, by rule id."""
+        return tuple((size, rules[rid].lhs) for rid, size in finished(q))
 
     def reduce_side(rightward, advance):
         """A finished rule on top pops its members and passes its left-hand
@@ -232,29 +237,31 @@ def build_hi(aug: AugmentedGrammar) -> Automaton:
         goto = (goto2 if advance else goto1)[rightward]
 
         def matcher(stack, tokens):
-            top = stack[-1]
-            emitted = set()
-            for rid, size in finished(top.q):
-                if len(stack) < size + 1:
+            i, k, q, m, j = stack[-1]
+            emitted = None
+            for size, lhs in reduced(q):
+                if len(stack) <= size:
                     continue
                 context = stack[-(size + 1)]
                 if advance:
-                    if (top.k if rightward else top.m) not in (context.m, context.k):
+                    if (k if rightward else m) not in (context.m, context.k):
                         continue
-                elif not (context.m < top.k if rightward else top.m < context.k):
+                elif not (context.m < k if rightward else m < context.k):
                     continue
-                q2 = goto(context.q, rules[rid].lhs)
+                q2 = goto(context.q, lhs)
                 if not q2:
                     continue
                 assert _chained(stack[len(stack) - size:])
                 if not advance:
-                    new = HiItem(top.i, top.k, q2, top.m, top.j)
+                    new = HiItem(i, k, q2, m, j)
                 elif rightward:
-                    assert context.j == top.j
-                    new = HiItem(context.i, context.k, q2, top.m, top.j)
+                    assert context.j == j
+                    new = HiItem(context.i, context.k, q2, m, j)
                 else:
-                    assert context.i == top.i
-                    new = HiItem(top.i, top.k, q2, context.m, context.j)
+                    assert context.i == i
+                    new = HiItem(i, k, q2, context.m, context.j)
+                if emitted is None:
+                    emitted = set()
                 key = (size, new)
                 if key not in emitted:
                     emitted.add(key)

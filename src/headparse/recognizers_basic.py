@@ -105,41 +105,69 @@ def _render_set_infix(item):
 
 # ------------------------------------------------------------ shared pieces
 
-def _complete(aug, item):
-    return item.ld == 0 and item.rd == len(aug.rules[item.rule].rhs)
+# fields of a dotted state's facts: the terminal pending right and left of
+# the recognized stretch, the nonterminal pending there, and the rule's
+# left-hand side once it is finished; None where there is none
+RIGHT_T, LEFT_T, RIGHT_NT, LEFT_NT, DONE = range(5)
 
 
-def _pending(aug, item, rightward):
-    r = aug.rules[item.rule]
-    if rightward:
-        return r.rhs[item.rd] if item.rd < len(r.rhs) else None
-    return r.rhs[item.ld - 1] if item.ld > 0 else None
+def _dotted_facts(aug):
+    """The grammar facts of a dotted state (rule, ld, rd), worked out once
+    per state: what td's and hc's clauses read of a dotted item besides
+    its positions."""
+    nts = aug.nonterminals
+
+    @cache
+    def facts(rule, ld, rd):
+        r = aug.rules[rule]
+        right = r.rhs[rd] if rd < len(r.rhs) else None
+        left = r.rhs[ld - 1] if ld > 0 else None
+        return (None if right in nts else right, None if left in nts else left,
+                right if right in nts else None, left if left in nts else None,
+                r.lhs if ld == 0 and rd == len(r.rhs) else None)
+    return facts
 
 
-def _make_scan(aug, rightward):
+def _head_states(aug, rids):
+    """The dotted states (rule, ld, rd) of the rules `rids` with only their
+    head recognized."""
+    return tuple((rid, aug.rules[rid].head, aug.rules[rid].head + 1) for rid in rids)
+
+
+def _make_scan(facts, rightward):
     """Clause 2a/2b of the dotted-item recognizers: extend the recognized
     stretch over an adjacent terminal."""
-    nts = aug.nonterminals
+    side = RIGHT_T if rightward else LEFT_T
 
     def matcher(stack, tokens):
         top = stack[-1]
         if type(top) is not Dotted:
             return
-        sym = _pending(aug, top, rightward)
-        if sym is None or sym in nts:
+        i, k, rule, ld, rd, m, j = top
+        sym = facts(rule, ld, rd)[side]
+        if sym is None:
             return
         if rightward:
-            if top.m < top.j and tokens[top.m] == sym:
-                yield 1, top._replace(rd=top.rd + 1, m=top.m + 1), top.m + 1
+            if m < j and tokens[m] == sym:
+                yield 1, Dotted(i, k, rule, ld, rd + 1, m + 1, j), m + 1
         else:
-            if top.i < top.k and tokens[top.k - 1] == sym:
-                yield 1, top._replace(ld=top.ld - 1, k=top.k - 1), top.k
+            if i < k and tokens[k - 1] == sym:
+                yield 1, Dotted(i, k - 1, rule, ld - 1, rd, m, j), k
     return matcher
 
 
-def _make_attach(aug, rightward):
+def _make_attach(facts, rightward):
     """Clause 4a/4b: a completed rule directly above a dotted item becomes
     the pending member adjacent to the recognized stretch."""
+    side = RIGHT_NT if rightward else LEFT_NT
+
+    @cache
+    def attaches(top_rule, top_ld, top_rd, rule, ld, rd):
+        """Whether a top in the first state finishes the rule the item
+        below, in the second, has pending on this side."""
+        lhs = facts(top_rule, top_ld, top_rd)[DONE]
+        return lhs is not None and facts(rule, ld, rd)[side] == lhs
+
     def matcher(stack, tokens):
         if len(stack) < 2:
             return
@@ -147,21 +175,19 @@ def _make_attach(aug, rightward):
         below = stack[-2]
         if type(top) is not Dotted or type(below) is not Dotted:
             return
-        if not _complete(aug, top):
-            return
-        lhs = aug.rules[top.rule].lhs
-        if _pending(aug, below, rightward) != lhs:
+        i, k, rule, ld, rd, m, j = below
+        if not attaches(top.rule, top.ld, top.rd, rule, ld, rd):
             return
         if rightward:
-            if below.m != top.k:
+            if m != top.k:
                 return
-            assert below.m == top.i and below.j == top.j
-            yield 2, below._replace(rd=below.rd + 1, m=top.m), None
+            assert m == top.i and j == top.j
+            yield 2, Dotted(i, k, rule, ld, rd + 1, top.m, j), None
         else:
-            if below.k != top.m:
+            if k != top.m:
                 return
-            assert below.k == top.j and below.i == top.i
-            yield 2, below._replace(ld=below.ld - 1, k=top.k), None
+            assert k == top.j and i == top.i
+            yield 2, Dotted(i, top.k, rule, ld - 1, rd, m, j), None
     return matcher
 
 
@@ -192,16 +218,12 @@ def _dotted_plan(aug, predicts, finished, can_predict):
     return plan
 
 
-def _dotted_head(aug, rid, i, k, m, j):
-    r = aug.rules[rid]
-    return Dotted(i, k, rid, r.head, r.head + 1, m, j)
-
-
 # ------------------------------------------------------------------ TD
 
 def build_td(aug: AugmentedGrammar) -> Automaton:
     """Head-driven top-down recognizer (goal items plus dotted items)."""
     nts = aug.nonterminals
+    facts = _dotted_facts(aug)
     nt_heads_by_lhs = {}
     t_heads_by_lhs = {}
     for rid, r in enumerate(aug.rules):
@@ -211,6 +233,21 @@ def build_td(aug: AugmentedGrammar) -> Automaton:
     # goal symbol -> the terminals that head one of its rules
     t_head_set = {b: frozenset(h for _, h in candidates)
                   for b, candidates in t_heads_by_lhs.items()}
+
+    @cache
+    def subgoals(sym):
+        """The distinct nonterminal heads of `sym`'s rules, in rule order."""
+        return tuple(dict.fromkeys(b for _, b in nt_heads_by_lhs.get(sym, ())))
+
+    @cache
+    def heads(sym, a):
+        """The head states of `sym`'s rules headed by `a`."""
+        return _head_states(aug, [rid for rid, h in t_heads_by_lhs[sym] if h == a])
+
+    @cache
+    def climbs(sym, b):
+        """The head states of `sym`'s rules headed by the nonterminal `b`."""
+        return _head_states(aug, [rid for rid, h in nt_heads_by_lhs.get(sym, ()) if h == b])
 
     def make_init(n):
         return Dotted(-1, -1, aug.start_rule_id, 0, 1, 0, n)
@@ -222,19 +259,18 @@ def build_td(aug: AugmentedGrammar) -> Automaton:
         top = stack[-1]
         if type(top) is not Goal:
             return
-        seen = set()
-        for rid, b in nt_heads_by_lhs.get(top.sym, ()):
-            if b not in seen:
-                seen.add(b)
-                yield 0, Goal(top.i, b, top.j), None
+        for b in subgoals(top.sym):
+            yield 0, Goal(top.i, b, top.j), None
 
     def predict_side(rightward):
+        side = RIGHT_NT if rightward else LEFT_NT
+
         def matcher(stack, tokens):
             top = stack[-1]
             if type(top) is not Dotted:
                 return
-            sym = _pending(aug, top, rightward)
-            if sym is None or sym not in nts:
+            sym = facts(top.rule, top.ld, top.rd)[side]
+            if sym is None:
                 return
             if rightward:
                 if top.m < top.j:
@@ -248,14 +284,13 @@ def build_td(aug: AugmentedGrammar) -> Automaton:
         top = stack[-1]
         if type(top) is not Goal:
             return
-        candidates = t_heads_by_lhs.get(top.sym, ())
-        if not candidates:
+        i, sym, j = top
+        found = t_head_set.get(sym)
+        if found is None:
             return
-        for k in positions(tokens, t_head_set[top.sym], top.i, top.j):
-            a = tokens[k - 1]
-            for rid, h in candidates:
-                if h == a:
-                    yield 1, _dotted_head(aug, rid, top.i, k - 1, k, top.j), k
+        for k in positions(tokens, found, i, j):
+            for rid, ld, rd in heads(sym, tokens[k - 1]):
+                yield 1, Dotted(i, k - 1, rid, ld, rd, k, j), k
 
     def clause_3(stack, tokens):
         if len(stack) < 2:
@@ -264,24 +299,23 @@ def build_td(aug: AugmentedGrammar) -> Automaton:
         below = stack[-2]
         if type(top) is not Dotted or type(below) is not Goal:
             return
-        if not _complete(aug, top):
+        b = facts(top.rule, top.ld, top.rd)[DONE]
+        if b is None:
             return
         assert below.i == top.i and below.j == top.j
-        b = aug.rules[top.rule].lhs
-        for rid, h in nt_heads_by_lhs.get(below.sym, ()):
-            if h == b:
-                yield 2, _dotted_head(aug, rid, below.i, top.k, top.m, below.j), None
+        for rid, ld, rd in climbs(below.sym, b):
+            yield 2, Dotted(below.i, top.k, rid, ld, rd, top.m, below.j), None
 
     clauses = (
         Clause("0", clause_0),
         Clause("0a", predict_side(True)),
         Clause("0b", predict_side(False)),
         Clause("1", clause_1),
-        Clause("2a", _make_scan(aug, True)),
-        Clause("2b", _make_scan(aug, False)),
+        Clause("2a", _make_scan(facts, True)),
+        Clause("2b", _make_scan(facts, False)),
         Clause("3", clause_3),
-        Clause("4a", _make_attach(aug, True)),
-        Clause("4b", _make_attach(aug, False)),
+        Clause("4a", _make_attach(facts, True)),
+        Clause("4b", _make_attach(facts, False)),
     )
     dotted_plan = _dotted_plan(aug, ("0a", "0b"), ("3", "4a", "4b"), lambda b: True)
 
@@ -309,6 +343,7 @@ def build_hc(aug: AugmentedGrammar) -> Automaton:
     nts = aug.nonterminals
     t_heads = aug.rules_with_terminal_head
     nt_heads = aug.rules_with_nonterminal_head
+    facts = _dotted_facts(aug)
 
     def make_init(n):
         return Dotted(-1, -1, aug.start_rule_id, 0, 1, 0, n)
@@ -323,18 +358,38 @@ def build_hc(aug: AugmentedGrammar) -> Automaton:
         return frozenset(a for a, rids in t_heads.items()
                          if any((aug.rules[rid].lhs, b) in pairs for rid in rids))
 
+    @cache
+    def fresh(b, a):
+        """The head states of the rules headed by `a` whose left-hand side
+        is a head corner of `b`."""
+        return _head_states(aug, [rid for rid in t_heads.get(a, ())
+                                  if (aug.rules[rid].lhs, b) in pairs])
+
+    @cache
+    def climbs(top_rule, top_ld, top_rd, rule, ld, rd, rightward):
+        """The head states of the rules headed by what a top in the first
+        state finishes whose left-hand side is a head corner of the
+        nonterminal the item below, in the second, has pending on this
+        side; None when the top is not finished or nothing is pending."""
+        b = facts(top_rule, top_ld, top_rd)[DONE]
+        pending = facts(rule, ld, rd)[RIGHT_NT if rightward else LEFT_NT]
+        if b is None or pending is None:
+            return None
+        return _head_states(aug, [rid for rid in nt_heads.get(b, ())
+                                  if (aug.rules[rid].lhs, pending) in pairs])
+
     def new_head_side(rightward):
+        side = RIGHT_NT if rightward else LEFT_NT
+
         def matcher(stack, tokens):
-            top = stack[-1]
-            b = _pending(aug, top, rightward)
-            if b is None or b not in nts:
+            i, k, rule, ld, rd, m, j = stack[-1]
+            b = facts(rule, ld, rd)[side]
+            if b is None:
                 return
-            lo, hi = (top.m, top.j) if rightward else (top.i, top.k)
+            lo, hi = (m, j) if rightward else (i, k)
             for p in positions(tokens, heads_for(b), lo, hi):
-                a = tokens[p - 1]
-                for rid in t_heads.get(a, ()):
-                    if (aug.rules[rid].lhs, b) in pairs:
-                        yield 0, _dotted_head(aug, rid, lo, p - 1, p, hi), p
+                for rid, hl, hr in fresh(b, tokens[p - 1]):
+                    yield 0, Dotted(lo, p - 1, rid, hl, hr, p, hi), p
         return matcher
 
     def attach_head_side(rightward):
@@ -343,10 +398,8 @@ def build_hc(aug: AugmentedGrammar) -> Automaton:
                 return
             top = stack[-1]
             below = stack[-2]
-            if not _complete(aug, top):
-                return
-            pending = _pending(aug, below, rightward)
-            if pending is None or pending not in nts:
+            pushes = climbs(top.rule, top.ld, top.rd, below.rule, below.ld, below.rd, rightward)
+            if pushes is None:
                 return
             if rightward:
                 if below.m != top.i:
@@ -356,21 +409,19 @@ def build_hc(aug: AugmentedGrammar) -> Automaton:
                 if below.k != top.j:
                     return
                 assert below.i == top.i
-            b = aug.rules[top.rule].lhs
-            for rid in nt_heads.get(b, ()):
-                if (aug.rules[rid].lhs, pending) in pairs:
-                    yield 1, _dotted_head(aug, rid, top.i, top.k, top.m, top.j), None
+            for rid, ld, rd in pushes:
+                yield 1, Dotted(top.i, top.k, rid, ld, rd, top.m, top.j), None
         return matcher
 
     clauses = (
         Clause("1a", new_head_side(True)),
         Clause("1b", new_head_side(False)),
-        Clause("2a", _make_scan(aug, True)),
-        Clause("2b", _make_scan(aug, False)),
+        Clause("2a", _make_scan(facts, True)),
+        Clause("2b", _make_scan(facts, False)),
         Clause("3a", attach_head_side(True)),
         Clause("3b", attach_head_side(False)),
-        Clause("4a", _make_attach(aug, True)),
-        Clause("4b", _make_attach(aug, False)),
+        Clause("4a", _make_attach(facts, True)),
+        Clause("4b", _make_attach(facts, False)),
     )
     return Automaton("hc", clauses, make_init, make_fin, _render_td(aug),
                      (len(aug.rules), len(nts)),
@@ -444,7 +495,9 @@ def _distinct_lhs(rule_map, aug):
 def _build_infix(aug, name, merge_lhs):
     """Infix recognizer over `SetInfix` items.  Each step computes the
     left-hand sides that survive it; EHI keeps them as one item, PHI splits
-    them into one single-member item each, in the same order."""
+    them into one single-member item each, in the same order.  The states
+    (delta, gamma) a step pushes are worked out once per state of the items
+    it reads, and per token it scans, in one table per clause."""
     pairs = head_corner(aug, FULL)
     nts = aug.nonterminals
     index = InfixIndex(aug)
@@ -453,12 +506,24 @@ def _build_infix(aug, name, merge_lhs):
     # PHI's one-member sets, built once and shared by every item
     single = {a: frozenset((a,)) for a in nts | {aug.start_prime}}
 
-    def deltas(survivors):
+    def deltas(lhss, targets):
+        """The left-hand sides in `lhss` that are a head corner of one of
+        `targets`, as EHI's one set or PHI's one-member sets."""
+        survivors = [c for c in lhss if any((c, b) in pairs for b in targets)]
         if not survivors:
             return ()
         if merge_lhs:
             return (frozenset(survivors),)
         return [single[c] for c in survivors]
+
+    def extended(delta, gamma, sym, rightward):
+        """(delta, gamma) extended by `sym` on one side, keeping the members
+        with a rule that continues `gamma` so; None when none has one."""
+        extensions = index.right_ext if rightward else index.left_ext
+        delta = frozenset([x for x in delta if (x, gamma, sym) in extensions])
+        if not delta:
+            return None
+        return delta, gamma + (sym,) if rightward else (sym,) + gamma
 
     def make_init(n):
         return SetInfix(-1, -1, single[aug.start_prime], (aug.bottom,), 0, n)
@@ -467,30 +532,28 @@ def _build_infix(aug, name, merge_lhs):
         return SetInfix(-1, -1, single[aug.start_prime],
                         (aug.bottom, aug.start), n, n)
 
-    def _targets(delta, gamma, continuations):
-        out = set()
-        for a in delta:
-            out.update(continuations.get((a, gamma), ()))
-        return out
-
-    def _extending(item, sym, extensions):
-        return frozenset([x for x in item.delta
-                          if (x, item.gamma, sym) in extensions])
-
-    def _completed(item):
+    @cache
+    def completed(delta, gamma):
         """Members of `delta` that have `gamma` as a whole right-hand side."""
-        lhs = index.complete.get(item.gamma)
-        return sorted(item.delta & lhs) if lhs else ()
+        lhs = index.complete.get(gamma)
+        return sorted(delta & lhs) if lhs else ()
 
     @cache
     def predicted(delta, gamma, rightward):
         """The nonterminals an item may extend `gamma` with on this side, and
         the terminals that head a rule of a head corner of one of them."""
         continuations = index.right_nt if rightward else index.left_nt
-        targets = frozenset(_targets(delta, gamma, continuations))
+        targets = frozenset(b for a in delta for b in continuations.get((a, gamma), ()))
         return targets, frozenset(
             a for a, lhss in term_lhs.items()
             if any((c, b) in pairs for c in lhss for b in targets))
+
+    @cache
+    def fresh(targets, a):
+        """The states of the items that the head terminal `a` starts for
+        one of `targets`."""
+        gamma = (a,)
+        return tuple((delta, gamma) for delta in deltas(term_lhs.get(a, ()), targets))
 
     @cache
     def plan_of(delta, gamma, right, left):
@@ -512,58 +575,64 @@ def _build_infix(aug, name, merge_lhs):
 
     def predict_scan_side(rightward):
         def matcher(stack, tokens):
-            top = stack[-1]
-            targets, heads = predicted(top.delta, top.gamma, rightward)
+            i, k, delta, gamma, m, j = stack[-1]
+            targets, heads = predicted(delta, gamma, rightward)
             if not targets:
                 return
-            lo, hi = (top.m, top.j) if rightward else (top.i, top.k)
+            lo, hi = (m, j) if rightward else (i, k)
             for p in positions(tokens, heads, lo, hi):
-                a = tokens[p - 1]
-                survivors = [c for c in term_lhs.get(a, ())
-                             if any((c, b) in pairs for b in targets)]
-                for delta in deltas(survivors):
-                    yield 0, SetInfix(lo, p - 1, delta, (a,), p, hi), p
+                for new_delta, new_gamma in fresh(targets, tokens[p - 1]):
+                    yield 0, SetInfix(lo, p - 1, new_delta, new_gamma, p, hi), p
         return matcher
 
     def scan_side(rightward):
-        extensions = index.right_ext if rightward else index.left_ext
+        @cache
+        def scanned(delta, gamma, a):
+            """The state over the adjacent token `a`, or None."""
+            return None if a in nts else extended(delta, gamma, a, rightward)
 
         def matcher(stack, tokens):
-            top = stack[-1]
+            i, k, delta, gamma, m, j = stack[-1]
             if rightward:
-                if top.m >= top.j:
+                if m >= j:
                     return
-                a = tokens[top.m]
+                found = scanned(delta, gamma, tokens[m])
             else:
-                if top.i >= top.k:
+                if i >= k:
                     return
-                a = tokens[top.k - 1]
-            if a in nts:
+                found = scanned(delta, gamma, tokens[k - 1])
+            if found is None:
                 return
-            delta = _extending(top, a, extensions)
-            if not delta:
-                return
+            new_delta, new_gamma = found
             if rightward:
-                yield 1, top._replace(delta=delta, gamma=top.gamma + (a,),
-                                      m=top.m + 1), top.m + 1
+                yield 1, SetInfix(i, k, new_delta, new_gamma, m + 1, j), m + 1
             else:
-                yield 1, top._replace(delta=delta, gamma=(a,) + top.gamma,
-                                      k=top.k - 1), top.k
+                yield 1, SetInfix(i, k - 1, new_delta, new_gamma, m, j), k
         return matcher
 
     def attach_head_side(rightward):
-        continuations = index.right_nt if rightward else index.left_nt
+        @cache
+        def climbs(delta, gamma, below_delta, below_gamma):
+            """The states a top in state (delta, gamma) becomes as each rule
+            it completes climbs to a head corner of a nonterminal the item
+            below continues with on this side; None when it completes none
+            or the item below continues with none."""
+            done = completed(delta, gamma)
+            if not done:
+                return None
+            targets = predicted(below_delta, below_gamma, rightward)[0]
+            if not targets:
+                return None
+            return tuple((new_delta, (b,)) for b in done
+                         for new_delta in deltas(nt_lhs.get(b, ()), targets))
 
         def matcher(stack, tokens):
             if len(stack) < 2:
                 return
             top = stack[-1]
-            done = _completed(top)
-            if not done:
-                return
             below = stack[-2]
-            targets = _targets(below.delta, below.gamma, continuations)
-            if not targets:
+            pushes = climbs(top.delta, top.gamma, below.delta, below.gamma)
+            if pushes is None:
                 return
             if rightward:
                 if below.m != top.i:
@@ -573,39 +642,37 @@ def _build_infix(aug, name, merge_lhs):
                 if below.k != top.j:
                     return
                 assert below.i == top.i
-            for b in done:
-                survivors = [c for c in nt_lhs.get(b, ())
-                             if any((c, a0) in pairs for a0 in targets)]
-                for delta in deltas(survivors):
-                    yield 1, top._replace(delta=delta, gamma=(b,)), None
+            for new_delta, new_gamma in pushes:
+                yield 1, SetInfix(top.i, top.k, new_delta, new_gamma, top.m, top.j), None
         return matcher
 
     def attach_member_side(rightward):
-        extensions = index.right_ext if rightward else index.left_ext
+        @cache
+        def attaches(delta, gamma, below_delta, below_gamma):
+            """The states the item below becomes as each rule a top in state
+            (delta, gamma) completes extends it on this side."""
+            found = (extended(below_delta, below_gamma, b, rightward)
+                     for b in completed(delta, gamma))
+            return tuple(state for state in found if state is not None)
 
         def matcher(stack, tokens):
             if len(stack) < 2:
                 return
             top = stack[-1]
-            below = stack[-2]
+            i, k, delta, gamma, m, j = stack[-2]
             if rightward:
-                if below.m != top.k:
+                if m != top.k:
                     return
             else:
-                if below.k != top.m:
+                if k != top.m:
                     return
-            for b in _completed(top):
-                delta = _extending(below, b, extensions)
-                if not delta:
-                    continue
+            for new_delta, new_gamma in attaches(top.delta, top.gamma, delta, gamma):
                 if rightward:
-                    assert below.m == top.i and below.j == top.j
-                    yield 2, below._replace(delta=delta, gamma=below.gamma + (b,),
-                                            m=top.m), None
+                    assert m == top.i and j == top.j
+                    yield 2, SetInfix(i, k, new_delta, new_gamma, top.m, j), None
                 else:
-                    assert below.k == top.j and below.i == top.i
-                    yield 2, below._replace(delta=delta, gamma=(b,) + below.gamma,
-                                            k=top.k), None
+                    assert k == top.j and i == top.i
+                    yield 2, SetInfix(i, top.k, new_delta, new_gamma, m, j), None
         return matcher
 
     clauses = (

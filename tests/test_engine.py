@@ -6,9 +6,9 @@ from collections import Counter
 
 import pytest
 
-from headparse import (EngineError, Verdict, accepting_trace, augment,
-                       build_ghi, build_hc, detect_cyclic,
-                       detect_head_recursion, embed, replay,
+from headparse import (Automaton, Clause, EngineError, Verdict,
+                       accepting_trace, augment, build_ghi, build_hc,
+                       detect_cyclic, detect_head_recursion, embed, replay,
                        render_trace_text, run, trace_records)
 from headparse.corpus import (all_inputs, eligible, gen_eligible,
                               gen_grammar_corpus, head_grammar_corpus)
@@ -442,3 +442,112 @@ def test_hi_pushes_run_once_per_top_item(grammar, tokens, most):
     automaton = FLAT_BUILDERS["hi"](augment(grammar))
     _, calls = _counted_run(automaton, tokens)
     assert len(calls) <= most
+
+
+def test_td_records_each_window_once():
+    # td pushes a goal on the same goal over S -> S *S | *a, so a stack
+    # reaches a goal whose steps its first stack is still pulling; it reads
+    # that recording instead of running clauses 0 and 1 again
+    counting, calls = counting_copy(build_td(augment(AMBIGUOUS)))
+    result = run(counting, ("a",) * 8, exhaustive=True)
+    assert result.stats.configurations_explored == 894_327
+    assert len(calls) <= 1_847
+    assert all(count == 1 for count in Counter(calls).values())
+
+
+def _echo_automaton():
+    """Items I, X, Y, Z: I pushes Y, Y pushes X and X pushes Y, each read
+    alone, and X over Y pops both and pushes Z.  Above [I, Y, X] the stack
+    [I, Y, X, Y, X] has X's top steps half pulled and the window (Y, X)
+    not yet started, which the first stack reads after X's top steps."""
+    def push(top, item):
+        def matcher(window, tokens):
+            if window[-1] == top:
+                yield 0, item, None
+        return matcher
+
+    def fold(window, tokens):
+        if window[-2:] == ("Y", "X"):
+            yield 2, "Z", None
+
+    plans = {"I": (("i",), None), "Y": (("y",), None),
+             "X": (("x",), (2, ("fold",), None))}
+    return Automaton(
+        "echo", (Clause("i", push("I", "Y")), Clause("y", push("Y", "X")),
+                 Clause("x", push("X", "Y")), Clause("fold", fold)),
+        make_init=lambda n: "I", make_fin=lambda n: "F", render_item=str,
+        plan=lambda top: plans.get(top, ((), None)))
+
+
+def _bounded_stacks(automaton, max_depth):
+    """The stacks within `max_depth` the planned groups reach from the
+    initial one, and how many steps they take in all."""
+    stacks = {("I",)}
+    work = [("I",)]
+    applied = 0
+    while work:
+        stack = work.pop()
+        for window, clauses in _groups(automaton, stack):
+            for _, popped, item, _ in _steps(clauses, window, ()):
+                applied += 1
+                new = stack[:len(stack) - popped] + (item,)
+                if len(new) <= max_depth and new not in stacks:
+                    stacks.add(new)
+                    work.append(new)
+    return stacks, applied
+
+
+@pytest.mark.parametrize("max_depth", [3, 5, 9])
+def test_later_stacks_read_a_recording_in_progress(max_depth):
+    # a stack that reaches a top or window whose recording is still being
+    # pulled, or is queued behind its first stack's top steps, takes the
+    # same steps in the same order, and every matcher runs once per window
+    automaton = _echo_automaton()
+    stacks, applied = _bounded_stacks(automaton, max_depth)
+    counting, calls = counting_copy(automaton)
+    result = run(counting, (), max_depth=max_depth, exhaustive=True)
+    assert result.verdict is Verdict.RESOURCE_LIMIT
+    assert result.stats.configurations_explored == len(stacks)
+    assert result.stats.clause_applications == applied
+    assert all(count == 1 for count in Counter(calls).values())
+
+
+def _raising_every(calls):
+    """Wraps a matcher so that the matchers raise at every `calls`-th call
+    they make together."""
+    made = []
+
+    def wrap(matcher):
+        def matcher_or_raise(window, tokens):
+            made.append(None)
+            if len(made) % calls == 0:
+                raise RuntimeError("matcher failed")
+            return matcher(window, tokens)
+        return matcher_or_raise
+    return wrap
+
+
+@pytest.mark.parametrize("case", ["accept", "step bound", "matcher raises"])
+def test_runs_leave_no_reference_cycles(collector, case):
+    # a run that accepts, hits its step bound or meets a matcher's error
+    # leaves recordings in progress in its tables; with the collector off,
+    # dropping the result frees everything the run made
+    automaton = build_hc(augment(hg("S", ("S", "*a S b"), ("S", "*c"))))
+    tokens = ("a",) * 12 + ("c",) + ("b",) * 12
+    kwargs = {"max_steps": 40} if case == "step bound" else {}
+    if case == "matcher raises":
+        automaton = _with_matchers(automaton, _raising_every(60))
+
+    def measured():
+        try:
+            return run(automaton, tokens, **kwargs).stats.clause_applications
+        except RuntimeError:
+            assert case == "matcher raises"
+            return None
+    measured()
+    gc.disable()
+    gc.collect()
+    before = len(gc.get_objects())
+    applications = measured()
+    assert len(gc.get_objects()) <= before
+    assert applications is None if case == "matcher raises" else applications > 30
