@@ -26,10 +26,13 @@ so every stack with that top and window replays the same steps in the
 same order; a step carries the node it pushes and hashes no item.  Steps
 are recorded as the search pulls them and stored only once all are
 pulled, so a search that accepts early never computes steps it does not
-take; a stack that reaches a top or window whose steps are still being
-pulled reads the same recording, so each matcher runs once per top or
-window.  The tables live for one run; they are the transition relation
-of the automaton on that input, restricted to what the search reached.
+take, and a table holds nothing but finished lists.  A stack that
+reaches a top or window whose list is not finished yet, which only a
+stack above the one recording it can, records its own; so td, whose
+goals push equal goals on a head-recursive grammar, runs some matchers
+more than once per top or window.  The tables live for one run; they
+are the transition relation of the automaton on that input, restricted
+to what the search reached.
 
 A stack is one *cell*, (the cell below, the top node, the depth), so
 stacks share their lower parts as in Tomita's graph-structured stack
@@ -241,61 +244,19 @@ def _collector_paused(function):
     return paused
 
 
-def _recorded(clauses, window, tokens, intern, table, key, steps):
+def _recorded(clauses, window, tokens, intern, table, key):
     """The window's steps, each with its item's node and its consulted
-    position as a bit, recorded into `steps`; once all are pulled they are
-    stored as `table[key]`, which until then holds (steps, this recording).
-
-    A later stack that reaches the window while its steps are pulled reads
-    this recording through `_following`, which sends for the steps it
-    lacks, so the clauses run once.  Depth first, that stack is done before
-    the one that started the recording resumes; when it resumes it takes
-    the steps the later ones pulled.  A recording that another took over
-    before it started replays that one's steps.
-    """
-    if type(table[key]) is list:
-        yield from table[key]
-        return
-    taken = None  # the steps the first reader took, once another asks
-    request = None
+    position as a bit, yielded as they are pulled and stored as
+    `table[key]` once all are."""
+    steps = []
     for clause in clauses:
         label = clause.label
         for popped, item, consulted in clause.matcher(window, tokens):
             step = (label, popped, intern(item),
                     0 if consulted is None else 1 << consulted)
             steps.append(step)
-            request = yield step
-            if request is not None and taken is None:
-                taken = len(steps)
+            yield step
     table[key] = steps
-    if taken is not None:
-        while request is not None:  # a later reader is told there is no more
-            request = yield None
-        yield from steps[taken:]
-
-
-def _following(steps, recording):
-    """A later stack's reader over a recording in progress: the steps
-    recorded so far, then each one it asks the recording for."""
-    at = 0
-    while True:
-        if at < len(steps):  # recorded, perhaps for a reader above this one
-            yield steps[at]
-            at += 1
-            continue
-        step = recording.send(True)
-        if step is None:
-            return
-        at += 1
-        yield step
-
-
-def _recording(clauses, window, tokens, intern, table, key):
-    """A new recording of the window's steps, registered as `table[key]`."""
-    steps = []
-    recording = _recorded(clauses, window, tokens, intern, table, key, steps)
-    table[key] = (steps, recording)
-    return recording
 
 
 @_collector_paused
@@ -318,11 +279,11 @@ def run(automaton: Automaton, tokens, *, max_steps: int = 1_000_000,
     named = automaton.named
 
     # node k is the k-th distinct item pushed: items[k]; its cells tops[k],
-    # keyed by id(cell below); and its table entry entries[k], None until
-    # planned, then its steps when it plans no window group, else (alone
-    # clauses, reach, window clauses, guard); `steps` keys the steps of such
-    # a node by the node, and those of a window by its nodes; steps still
-    # being recorded are held as (steps so far, recording)
+    # keyed by id(cell below); and its table entry entries[k]: its finished
+    # steps when it plans no window group, else (alone clauses, reach,
+    # window clauses, guard) once planned, and None until then; `steps`
+    # keys the finished steps of such a node by the node, and those of a
+    # window by its nodes
     nodes = {}  # item -> node
     items, entries, tops = [], [], []
     steps = {}
@@ -338,42 +299,33 @@ def run(automaton: Automaton, tokens, *, max_steps: int = 1_000_000,
 
     def pull(cell):
         """The steps of a stack whose top's entry is not a list of steps:
-        its top's, then its window's, each replayed from the tables, read
-        from a recording in progress or recorded as they are pulled; None
-        when the tables show it has none."""
+        its top's, then its window's, each replayed from the tables or
+        recorded as they are pulled; None when the tables show it has none."""
         node = cell[1]
         entry = entries[node]
         if entry is None:
             alone, window = plan(items[node])
             if window is None:
-                return _recording(named(alone), (items[node],), tokens, intern,
-                                  entries, node)
+                return _recorded(named(alone), (items[node],), tokens, intern,
+                                 entries, node)
             reach, labels, guard = window
             entry = entries[node] = (named(alone), reach, named(labels), guard)
-        elif len(entry) == 2:  # (steps, recording) in progress
-            return _following(*entry)
         alone, reach, clauses, guard = entry
         if alone:
             alone = steps.get(node)
             if alone is None:
-                alone = _recording(entry[0], (items[node],), tokens, intern,
-                                   steps, node)
-            elif type(alone) is tuple:
-                alone = _following(*alone)
+                alone = _recorded(entry[0], (items[node],), tokens, intern,
+                                  steps, node)
         key = (node,)
         while len(key) < reach and cell[2] > 1:
             cell = cell[0]
             key = (cell[1],) + key
         found = steps.get(key)
-        # a window whose recording waits behind its first stack's top steps
-        # is recorded afresh for this one, and that recording replays it
-        if found is None or (type(found) is tuple and not found[0]):
+        if found is None:
             window = tuple(map(items.__getitem__, key))
             if guard is not None and len(key) > 1:
                 clauses = named(guard(window[-2]))
-            found = _recording(clauses, window, tokens, intern, steps, key)
-        elif type(found) is tuple:
-            found = _following(*found)
+            found = _recorded(clauses, window, tokens, intern, steps, key)
         if not alone:
             return found or None
         return chain(alone, found) if found else alone
@@ -403,60 +355,55 @@ def run(automaton: Automaton, tokens, *, max_steps: int = 1_000_000,
     # the top entry's steps are walked until one makes a new stack with
     # steps of its own, which goes on top
     agenda = [(start, 0, iter(pull(start) or ()), None)]
-    try:
-        while agenda:
-            stack, base, successors, link = agenda[-1]
-            for step in successors:
-                if applications >= max_steps:
-                    limit_kind = "steps"
+    while agenda:
+        stack, base, successors, link = agenda[-1]
+        for step in successors:
+            if applications >= max_steps:
+                limit_kind = "steps"
+                agenda.clear()
+                break
+            applications += 1
+            _, popped, node, bit = step
+            cell = stack
+            while popped:
+                cell = cell[0]
+                popped -= 1
+            depth = cell[2] + 1
+            if depth > max_depth:
+                limit_kind = "depth"
+                continue
+            below = id(cell)
+            stacks = tops[node]
+            if below in stacks:
+                duplicates += 1
+                continue
+            cell = stacks[below] = (cell, node, depth)
+            explored += 1
+            new_link = (step, link)
+            consulted = base | bit
+            if consulted != base:
+                size, wide = consulted.bit_count(), widest.bit_count()
+                differ = consulted ^ widest
+                if size > wide or (size == wide and differ & -differ & widest):
+                    widest = consulted
+            if depth > deepest:
+                deepest = depth
+            if not accepted and depth <= 2 and accepting(
+                    (items[node],) if depth == 1 else (items[cell[0][1]], items[node])):
+                accepted = True
+                accept_link = new_link
+                accept_consulted = consulted
+                if not exhaustive:
                     agenda.clear()
                     break
-                applications += 1
-                _, popped, node, bit = step
-                cell = stack
-                while popped:
-                    cell = cell[0]
-                    popped -= 1
-                depth = cell[2] + 1
-                if depth > max_depth:
-                    limit_kind = "depth"
-                    continue
-                below = id(cell)
-                stacks = tops[node]
-                if below in stacks:
-                    duplicates += 1
-                    continue
-                cell = stacks[below] = (cell, node, depth)
-                explored += 1
-                new_link = (step, link)
-                consulted = base | bit
-                if consulted != base:
-                    size, wide = consulted.bit_count(), widest.bit_count()
-                    differ = consulted ^ widest
-                    if size > wide or (size == wide and differ & -differ & widest):
-                        widest = consulted
-                if depth > deepest:
-                    deepest = depth
-                if not accepted and depth <= 2 and accepting(
-                        (items[node],) if depth == 1 else (items[cell[0][1]], items[node])):
-                    accepted = True
-                    accept_link = new_link
-                    accept_consulted = consulted
-                    if not exhaustive:
-                        agenda.clear()
-                        break
-                found = entries[node]
-                if type(found) is not list:
-                    found = pull(cell)
-                if found:
-                    agenda.append((cell, consulted, iter(found), new_link))
-                    break
-            else:
-                agenda.pop()
-    finally:
-        # a recording left in progress is held by the table it holds
-        entries.clear()
-        steps.clear()
+            found = entries[node]
+            if type(found) is not list:
+                found = pull(cell)
+            if found:
+                agenda.append((cell, consulted, iter(found), new_link))
+                break
+        else:
+            agenda.pop()
 
     if accepted:
         verdict = Verdict.ACCEPT
