@@ -12,7 +12,7 @@ from headparse import (Automaton, Clause, EngineError, Verdict,
                        render_trace_text, run, trace_records)
 from headparse.corpus import (all_inputs, eligible, gen_eligible,
                               gen_grammar_corpus, head_grammar_corpus)
-from headparse.recognizers_basic import build_td
+from headparse.recognizers_basic import Goal, build_td
 from conftest import (FLAT_BUILDERS, counting_copy, explore, hg, successors,
                       trace_stacks)
 
@@ -442,6 +442,22 @@ def test_hi_pushes_run_once_per_top_item(grammar, tokens, most):
     automaton = FLAT_BUILDERS["hi"](augment(grammar))
     _, calls = _counted_run(automaton, tokens)
     assert len(calls) <= most
+
+
+def test_td_records_each_window_once():
+    # td pushes a goal on the same goal over S -> S *S | *a; every stack
+    # that pushes S over the whole input on itself reaches it while its
+    # first stack is still pulling its steps, so records them afresh.
+    # Every other window's steps are recorded once and then replayed
+    counting, calls = counting_copy(build_td(augment(AMBIGUOUS)))
+    result = run(counting, ("a",) * 8, exhaustive=True)
+    assert result.stats.configurations_explored == 894_327
+    counts = Counter(calls)
+    assert len(counts) == 1_847
+    assert len(calls) == 2_654
+    whole = (Goal(0, "S", 8),)
+    assert {window for (_, window), count in counts.items() if count > 1} \
+        == {whole}
 
 
 def _echo_automaton():

@@ -35,23 +35,15 @@ def _child(args):
 
 def test_exhaustive_td_with_default_bounds_stays_under_a_gigabyte():
     # a million steps over stacks up to 800 deep; as whole tuples the
-    # stacks reached by 100,000 steps alone took 313 MB.  td pushes goals
-    # on equal goals here, so a stack reaches goals whose steps are still
-    # being pulled and records them afresh: some matchers run more than
-    # once on their (label, window)
-    code = ("import sys\n"
-            "sys.path.insert(0, %r)\n"
-            "from conftest import counting_copy\n"
-            "from headparse import augment, parse_hg, run\n"
+    # stacks reached by 100,000 steps alone took 313 MB
+    code = ("from headparse import augment, parse_hg, run\n"
             "from headparse.recognizers_basic import build_td\n"
-            "automaton, calls = counting_copy(build_td(augment(parse_hg(%r))))\n"
+            "automaton = build_td(augment(parse_hg(%r)))\n"
             "result = run(automaton, ('a',) * 8, exhaustive=True)\n"
-            "print(result.verdict.value, result.stats.limit_kind,\n"
-            "      result.stats.configurations_explored, len(calls), len(set(calls)))\n"
-            % (str(ROOT / "tests"), AMBIGUOUS))
+            "print(result.verdict.value, result.stats.limit_kind)\n" % AMBIGUOUS)
     done, peak_kb = _child([sys.executable, "-c", code])
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["resource-limit", "steps", "894327", "2654", "1847"]
+    assert done.stdout.split() == ["resource-limit", "steps"]
     assert peak_kb < GIGABYTE_KB
 
 
