@@ -58,12 +58,13 @@ shifting, so printed traces read exactly like the items themselves.
 
 A trace is the steps a run applied, as an LR parser records a parse as
 its actions: (clause label, items popped, item pushed), and a stack is
-rebuilt by applying them to the initial one.  Each search path carries
-its trace link (the recorded step and its parent's link, no stack) and
-the input positions its scanning steps consulted, as a bitmask, on its
-agenda entry, not on its cell, so sets of different branches never merge
-and only open paths and the accepting one hold links.  A run reports the
-accepting path's set, or else the widest any path reached.
+rebuilt by applying them to the initial one.  Each agenda entry holds the
+step that made its stack and the input positions its path's scanning
+steps consulted, as a bitmask, not on its cell, so sets of different
+branches never merge.  The agenda is the depth-first path to its top
+stack, so the accepting trace is read off it when a run accepts: the
+steps of the entries above the initial one, then the accepting step.  A
+run reports the accepting path's set, or else the widest any path reached.
 """
 
 from __future__ import annotations
@@ -99,6 +100,11 @@ class Clause:
     nothing else.  A matcher checks everything it needs itself: a clause
     the plan or its guard leaves out finds nothing there, so running every
     clause on the whole stack finds the same steps.
+
+    Steps keep the pushdown contract (Lang 1974): a step reads at most the
+    items it pops and the one below them, the top alone for a push, so the
+    matcher yields it on the top `popped + 1` items too.  `replay` checks
+    each step on that window alone.
     """
 
     label: str
@@ -343,20 +349,20 @@ def run(automaton: Automaton, tokens, *, max_steps: int = 1_000_000,
     duplicates = 0
     limit_kind = None
     accepted = accepting(initial)
-    accept_link = None
+    path = []  # the accepting stack's steps, once found
     accept_consulted = 0
     # widest consulted set by (len, sorted), so it does not depend on search
     # order: keys that compare equal belong to equal sets, and of two masks
     # of one size the one lacking their lowest differing bit sorts higher
     widest = 0
 
-    # agenda entries: (stack, consulted set, its steps, its link), a link
-    # being (the step that made the stack, link of the parent stack) or None;
-    # the top entry's steps are walked until one makes a new stack with
-    # steps of its own, which goes on top
+    # agenda entries: (stack, consulted set, its steps, the step that made
+    # the stack from the one below, None for the start); the top entry's
+    # steps are walked until one makes a new stack with steps of its own,
+    # which goes on top, so the agenda is the path to its top stack
     agenda = [(start, 0, iter(pull(start) or ()), None)]
     while agenda:
-        stack, base, successors, link = agenda[-1]
+        stack, base, successors, _ = agenda[-1]
         for step in successors:
             if applications >= max_steps:
                 limit_kind = "steps"
@@ -379,7 +385,6 @@ def run(automaton: Automaton, tokens, *, max_steps: int = 1_000_000,
                 continue
             cell = stacks[below] = (cell, node, depth)
             explored += 1
-            new_link = (step, link)
             consulted = base | bit
             if consulted != base:
                 size, wide = consulted.bit_count(), widest.bit_count()
@@ -391,7 +396,8 @@ def run(automaton: Automaton, tokens, *, max_steps: int = 1_000_000,
             if not accepted and depth <= 2 and accepting(
                     (items[node],) if depth == 1 else (items[cell[0][1]], items[node])):
                 accepted = True
-                accept_link = new_link
+                path = [entry[3] for entry in agenda[1:]]
+                path.append(step)
                 accept_consulted = consulted
                 if not exhaustive:
                     agenda.clear()
@@ -400,14 +406,17 @@ def run(automaton: Automaton, tokens, *, max_steps: int = 1_000_000,
             if type(found) is not list:
                 found = pull(cell)
             if found:
-                agenda.append((cell, consulted, iter(found), new_link))
+                agenda.append((cell, consulted, iter(found), step))
                 break
         else:
             agenda.pop()
 
+    trace = None
     if accepted:
         verdict = Verdict.ACCEPT
         final_consulted = accept_consulted
+        trace = Trace(initial, tuple(TraceStep(label, popped, items[node])
+                                     for label, popped, node, _ in path))
     else:
         verdict = Verdict.REJECT if limit_kind is None else Verdict.RESOURCE_LIMIT
         final_consulted = widest
@@ -420,7 +429,6 @@ def run(automaton: Automaton, tokens, *, max_steps: int = 1_000_000,
         limit_hit=limit_kind is not None,
         limit_kind=limit_kind,
     )
-    trace = _build_trace(initial, accept_link, items) if accepted else None
     return RunResult(verdict, stats, trace)
 
 
@@ -431,16 +439,6 @@ def _positions_of(mask):
         out.append((mask & -mask).bit_length() - 1)
         mask &= mask - 1
     return frozenset(out)
-
-
-def _build_trace(initial, link, items):
-    """The trace that ends at `link`'s stack, read off the link chain."""
-    steps = []
-    while link is not None:
-        (label, popped, node, _), link = link
-        steps.append(TraceStep(label, popped, items[node]))
-    steps.reverse()
-    return Trace(initial, tuple(steps))
 
 
 def accepting_trace(result: RunResult) -> Trace:
@@ -454,22 +452,21 @@ def replay(automaton: Automaton, tokens, trace: Trace) -> bool:
     """Re-derive every trace step from the initial stack.
 
     True when the clause each step names yields exactly its (popped, item)
-    on the window `plan` sizes for the stack so far, and the stack the
-    steps end on is accepting: at most two items, as `run` asks.
+    on the top `popped + 1` items of the stack so far, all that `Clause`
+    lets the step read, and the stack the steps end on is accepting: at
+    most two items, as `run` asks.
     """
     tokens = tuple(tokens)
     n = len(tokens)
     if trace.initial != (automaton.make_init(n),):
         return False
     matchers = {clause.label: clause.matcher for clause in automaton.clauses}
-    plan = automaton.plan
     cur = list(trace.initial)
     for label, popped, item in trace.steps:
         matcher = matchers.get(label)
         if matcher is None:
             return False
-        window = plan(cur[-1])[1]
-        for found, pushed, _ in matcher(tuple(cur[-(window[0] if window else 1):]), tokens):
+        for found, pushed, _ in matcher(tuple(cur[-1 - popped:]), tokens):
             if found == popped and pushed == item:
                 break
         else:
@@ -477,15 +474,6 @@ def replay(automaton: Automaton, tokens, trace: Trace) -> bool:
         del cur[len(cur) - popped:]
         cur.append(item)
     return len(cur) <= 2 and automaton.accepting_predicate(n)(tuple(cur))
-
-
-def trace_rows(automaton: Automaton, trace: Trace):
-    """(label, steps) display rows; follows the automaton's row-merging
-    convention when it has one (the tree recognizer merges the two
-    empty-subtree conversions that finish a bare tree into a single row)."""
-    if automaton.collapse_rows is not None:
-        return list(automaton.collapse_rows(trace.steps))
-    return [(step.label, (step,)) for step in trace.steps]
 
 
 def _row_changes(automaton: Automaton, trace: Trace):

@@ -93,9 +93,12 @@ def reference_trace_records(automaton, trace):
 
 
 def _display_rows(automaton, trace):
-    """(label, stack) per display row, the initial stack first."""
+    """(label, stack) per display row, the initial stack first: the
+    automaton's `collapse_rows` rows, or else one row per step."""
     rows = [(None, trace.initial)]
-    for label, steps in engine.trace_rows(automaton, trace):
+    collapse = automaton.collapse_rows or (
+        lambda steps: [(step.label, (step,)) for step in steps])
+    for label, steps in collapse(trace.steps):
         rows.append((label, trace_stacks(rows[-1][1], steps)[-1]))
     return rows
 

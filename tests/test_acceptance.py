@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from headparse import (Verdict, augment, differential, engine, run, tau_head,
+from headparse import (Verdict, augment, differential, run, tau_head,
                        tau_two)
 from headparse.corpus import (all_inputs, common_infix_family, cyclic_examples,
                               eligible, gen_grammar_corpus, head_grammar_corpus,
@@ -77,7 +77,7 @@ def test_criterion_golden_trace(tree_demo_automaton):
     result = run(tree_demo_automaton, ("c", "a", "b", "s"))
     elapsed = time.perf_counter() - started
     assert result.verdict is Verdict.ACCEPT
-    rows = engine.trace_rows(tree_demo_automaton, result.accepting_trace)
+    rows = tree_demo_automaton.collapse_rows(result.accepting_trace.steps)
     labels = [label for label, _ in rows]
     assert labels == GOLDEN_ROWS
     assert len(rows) == 16

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from headparse import (Automaton, Clause, EngineError, Verdict,
+from headparse import (Automaton, Clause, EngineError, Trace, Verdict,
                        accepting_trace, augment, build_ghi, build_hc,
                        detect_cyclic, detect_head_recursion, embed, replay,
                        render_trace_text, run, trace_records)
@@ -255,7 +255,9 @@ def test_clauses_read_only_their_window():
     # clauses yield on the whole stack, which is what lets one run share
     # them between stacks: the clauses a plan or its guard leaves out find
     # none of them; every step pops items of the window and pushes one,
-    # popping no more than the recognizer allows
+    # popping no more than the recognizer allows, and its clause still
+    # yields it on the items it pops and the one below them, all that
+    # `replay` hands it
     deepest = {}
     popped_most = {}
     checked = 0
@@ -275,8 +277,11 @@ def test_clauses_read_only_their_window():
                         for step in _steps(clauses, window, tokens)] == steps
                 reach = _reach(automaton, stack[-1])
                 assert _steps(automaton.clauses, stack[-reach:], tokens) == steps
-                for _, popped, _, _ in steps:
+                for step in steps:
+                    label, popped, _, _ = step
                     assert 0 <= popped <= min(reach, len(stack)) and popped <= most
+                    assert step in _steps(automaton.named((label,)),
+                                          stack[-1 - popped:], tokens)
                     popped_most[name] = max(popped_most.get(name, 0), popped)
                 deepest[name] = max(deepest.get(name, 0), reach)
                 checked += 1
@@ -448,9 +453,13 @@ def test_td_records_each_window_once():
     # td pushes a goal on the same goal over S -> S *S | *a; every stack
     # that pushes S over the whole input on itself reaches it while its
     # first stack is still pulling its steps, so records them afresh.
-    # Every other window's steps are recorded once and then replayed
+    # Every other window's steps are recorded once and then replayed.  The
+    # default bounds let the stacks grow to the depth bound, and the step
+    # bound ends the search
     counting, calls = counting_copy(build_td(augment(AMBIGUOUS)))
     result = run(counting, ("a",) * 8, exhaustive=True)
+    assert result.verdict is Verdict.RESOURCE_LIMIT
+    assert result.stats.limit_kind == "steps"
     assert result.stats.configurations_explored == 894_327
     counts = Counter(calls)
     assert len(counts) == 1_847
@@ -460,17 +469,19 @@ def test_td_records_each_window_once():
         == {whole}
 
 
+def _push(top, item):
+    """A matcher that pushes `item` on `top`, reading the top alone."""
+    def matcher(window, tokens):
+        if window[-1] == top:
+            yield 0, item, None
+    return matcher
+
+
 def _echo_automaton():
     """Items I, X, Y, Z: I pushes Y, Y pushes X and X pushes Y, each read
     alone, and X over Y pops both and pushes Z.  Above [I, Y, X] the stack
     [I, Y, X, Y, X] has X's top steps half pulled and the window (Y, X)
     not yet started, which the first stack reads after X's top steps."""
-    def push(top, item):
-        def matcher(window, tokens):
-            if window[-1] == top:
-                yield 0, item, None
-        return matcher
-
     def fold(window, tokens):
         if window[-2:] == ("Y", "X"):
             yield 2, "Z", None
@@ -478,10 +489,56 @@ def _echo_automaton():
     plans = {"I": (("i",), None), "Y": (("y",), None),
              "X": (("x",), (2, ("fold",), None))}
     return Automaton(
-        "echo", (Clause("i", push("I", "Y")), Clause("y", push("Y", "X")),
-                 Clause("x", push("X", "Y")), Clause("fold", fold)),
+        "echo", (Clause("i", _push("I", "Y")), Clause("y", _push("Y", "X")),
+                 Clause("x", _push("X", "Y")), Clause("fold", fold)),
         make_init=lambda n: "I", make_fin=lambda n: "F", render_item=str,
         plan=lambda top: plans.get(top, ((), None)))
+
+
+def _peeking_automaton(reads):
+    """Items I, A, B, C, F: I pushes A and A pushes B, each read alone;
+    over I and A, 'peek' pops B and pushes C, and 'fold' pops all three
+    and pushes the final F.  Planned windows hold three items, and peek
+    tests the top `reads` of them: with 3 it reads the item below the one
+    below the item it pops, which the pushdown contract forbids."""
+    def peek(window, tokens):
+        if window[-reads:] == ("I", "A", "B")[-reads:]:
+            yield 1, "C", None
+
+    def fold(window, tokens):
+        if window == ("I", "A", "C"):
+            yield 3, "F", None
+
+    plans = {"I": (("i",), None), "A": (("a",), None),
+             "B": ((), (3, ("peek",), None)), "C": ((), (3, ("fold",), None))}
+    return Automaton(
+        "peek", (Clause("i", _push("I", "A")), Clause("a", _push("A", "B")),
+                 Clause("peek", peek), Clause("fold", fold)),
+        make_init=lambda n: "I", make_fin=lambda n: "F", render_item=str,
+        plan=lambda top: plans.get(top, ((), None)))
+
+
+@pytest.mark.parametrize("reads, replays", [(2, True), (3, False)])
+def test_replay_checks_each_step_on_the_items_it_may_pop_and_read(reads, replays):
+    # a run hands peek the window its plan sizes, so it takes peek's pop of
+    # one either way; replay hands it the popped item and the one below
+    automaton = _peeking_automaton(reads)
+    result = run(automaton, ())
+    assert result.verdict is Verdict.ACCEPT
+    trace = result.accepting_trace
+    assert [step.label for step in trace.steps] == ["i", "a", "peek", "fold"]
+    assert replay(automaton, (), trace) is replays
+
+
+@pytest.mark.parametrize("exhaustive", [False, True])
+def test_an_accepting_initial_stack_has_the_empty_trace(exhaustive):
+    # the run still takes the steps to [F], which no longer accepts
+    automaton = dataclasses.replace(_peeking_automaton(2), make_fin=lambda n: "I")
+    result = run(automaton, (), exhaustive=exhaustive)
+    assert result.verdict is Verdict.ACCEPT
+    assert result.stats.configurations_explored == 5
+    assert result.accepting_trace == Trace(("I",), ())
+    assert replay(automaton, (), result.accepting_trace)
 
 
 def _bounded_stacks(automaton, initial, tokens, max_depth):

@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from headparse import Verdict, augment, engine, run
+from headparse import Verdict, augment, run
 from headparse.corpus import all_inputs, gen_eligible, gen_grammar_corpus, \
     head_grammar_corpus, eligible
 from headparse.oracle import enumerate_language, recognize
@@ -79,7 +79,7 @@ EXPECTED_ROWS = ["3a", "1a", "3b", "1a", "1d", "7b", "2a", "1a, 1d", "4a",
 def test_demo_accepting_trace_is_the_golden_one(tree_demo_automaton):
     result = run(tree_demo_automaton, ("c", "a", "b", "s"))
     assert result.verdict is Verdict.ACCEPT
-    rows = engine.trace_rows(tree_demo_automaton, result.accepting_trace)
+    rows = tree_demo_automaton.collapse_rows(result.accepting_trace.steps)
     assert [label for label, _ in rows] == EXPECTED_ROWS
     assert len(rows) == 16
 

@@ -86,7 +86,7 @@ def test_collapsed_ghi_rows_match_reference():
     automaton = build_ghi(demo)
     traces = list(accepting_traces(automaton, sorted(enumerate_language(demo, 4))))
     assert any(label == "1a, 1d" for trace in traces
-               for label, _ in engine.trace_rows(automaton, trace))
+               for label, _ in automaton.collapse_rows(trace.steps))
     for trace in traces:
         assert_matches_reference(automaton, trace)
 
@@ -191,7 +191,7 @@ def test_deep_recognizer_pops_through_blocks_match_reference(name):
     trace = accepting_trace(run(automaton, center_input(3 * engine.BLOCK + 4)))
     assert _cuts_through_blocks(trace)
     if name == "ghi":
-        assert any(len(steps) == 2 for _, steps in engine.trace_rows(automaton, trace))
+        assert any(len(steps) == 2 for _, steps in automaton.collapse_rows(trace.steps))
     assert_matches_reference(automaton, trace)
 
 
@@ -206,7 +206,7 @@ def test_each_pushed_item_is_rendered_once(name):
         return automaton.render_item(item)
     counting = dataclasses.replace(automaton, render_item=counted)
     if name == "ghi":  # rows of two steps render both steps' items, no more
-        assert len(engine.trace_rows(automaton, trace)) < len(trace.steps)
+        assert len(automaton.collapse_rows(trace.steps)) < len(trace.steps)
     for render in (render_trace_text, trace_records):
         calls.clear()
         render(counting, trace)
