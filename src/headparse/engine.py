@@ -359,8 +359,10 @@ def run(automaton: Automaton, tokens, *, max_steps: int = 1_000_000,
     # agenda entries: (stack, consulted set, its steps, the step that made
     # the stack from the one below, None for the start); the top entry's
     # steps are walked until one makes a new stack with steps of its own,
-    # which goes on top, so the agenda is the path to its top stack
-    agenda = [(start, 0, iter(pull(start) or ()), None)]
+    # which goes on top, so the agenda is the path to its top stack; a run
+    # that accepts its initial stack and need not go on has nothing to do
+    agenda = [] if accepted and not exhaustive else [
+        (start, 0, iter(pull(start) or ()), None)]
     while agenda:
         stack, base, successors, _ = agenda[-1]
         for step in successors:

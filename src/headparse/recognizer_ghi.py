@@ -167,11 +167,10 @@ def build_ghi(g: GenHeadGrammar) -> Automaton:
         return (0, 0, tree_to_text(element))
 
     # The sets reachable on one grammar are few and recur, so each set
-    # operation is computed once per argument: lazy LR table construction.
-    # Display order and text are memoised the same way.
+    # operation is computed once per argument, and so is what a clause reads
+    # of one: lazy LR table construction, shared by the clauses of every
+    # shape and side.  Display order and text are memoised the same way.
     side_set = {True: cache(partial(right_set, g)), False: cache(partial(left_set, g))}
-    select = {True: cache(gotoright), False: cache(gotoleft)}
-    goto_sym = cache(goto)
     render_element = cache(_render_element)
 
     @cache
@@ -179,24 +178,31 @@ def build_ghi(g: GenHeadGrammar) -> Automaton:
         return tuple(sorted(q, key=sort_key))
 
     @cache
-    def scan_heads(q):
-        """The terminals that `goto` selects a member of `q` by."""
-        return frozenset(_tree_of(e).root for e in q) - nts
+    def heads(q, rightward):
+        """The terminals heading a member of the side's set of `q`."""
+        return frozenset(_tree_of(e).root for e in side_set[rightward](q)) - nts
+
+    @cache
+    def headed(q, symbol, rightward):
+        """The members of the side's set of `q` whose root is `symbol`."""
+        return goto(side_set[rightward](q), symbol)
+
+    @cache
+    def selected(q, subtree, shape, rightward):
+        """The states of the items an item of `shape` in state `q` becomes
+        once its members with `subtree` on one side (None: no subtree) have
+        it found: a full item stays one item, left open on the other side
+        only; a half-open item is done, one item per member."""
+        q2 = (gotoright if rightward else gotoleft)(q, subtree)
+        if not q2:
+            return ()
+        return (q2,) if shape is FullItem else ordered(q2)
 
     def make_init(n):
         return RightOpenItem(-1, frozenset((start_rule,)), 0, n)
 
     def make_fin(n):
         return DoneItem(-1, start_rule, n)
-
-    def found(q2, shape):
-        """The states of the items an item of `shape` becomes once its
-        members `q2` have the subtree on one side found: a full item stays
-        one item, left open on the other side only; a half-open item is
-        done, one item per member."""
-        if not q2:
-            return ()
-        return (q2,) if shape is FullItem else ordered(q2)
 
     def make(item, rightward, edge, state):
         """The item `item` becomes in `state` with the subtree on one side
@@ -210,53 +216,32 @@ def build_ghi(g: GenHeadGrammar) -> Automaton:
     # -- 1a..1d: empty-subtree conversions ---------------------------------
 
     def empty_side(label, shape, rightward):
-        @cache
-        def emptied(q):
-            return found(select[rightward](q, None), shape)
-
         def matcher(stack, tokens):
             top = stack[-1]
             if type(top) is not shape:
                 return
             edge = top.m if rightward else top.k
-            for state in emptied(top.q):
+            for state in selected(top.q, None, shape, rightward):
                 yield 1, make(top, rightward, edge, state), None
         return Clause(label, matcher)
 
     # -- 2/3: head scans into a pending subtree window ----------------------
 
     def scan(label, shape, rightward):
-        @cache
-        def heads(q):
-            """The terminals heading a member of the side's set of `q`."""
-            return scan_heads(side_set[rightward](q))
-
-        @cache
-        def fresh(q, a):
-            """The members of the side's set of `q` headed by the token `a`."""
-            if a in nts:  # a token that spells a nonterminal matches nothing
-                return frozenset()
-            return goto_sym(side_set[rightward](q), a)
-
         def matcher(stack, tokens):
             top = stack[-1]
             if type(top) is not shape:
                 return
             q = top.q
             lo, hi = (top.m, top.j) if rightward else (top.i, top.k)
-            for p in positions(tokens, heads(q), lo, hi):
-                q2 = fresh(q, tokens[p - 1])
-                if q2:
-                    yield 0, FullItem(lo, p - 1, q2, p, hi), p
+            for p in positions(tokens, heads(q, rightward), lo, hi):
+                # a head heads a member, so the selection is not empty
+                yield 0, FullItem(lo, p - 1, headed(q, tokens[p - 1], rightward), p, hi), p
         return Clause(label, matcher)
 
     # -- 4/5: attach a completed subtree -----------------------------------
 
     def attach_tree(label, shape, rightward):
-        @cache
-        def attached(q, t):
-            return found(select[rightward](q, t), shape)
-
         def matcher(stack, tokens):
             if len(stack) < 2:
                 return
@@ -269,18 +254,13 @@ def build_ghi(g: GenHeadGrammar) -> Automaton:
             if (below.m != top.k) if rightward else (below.k != top.m):
                 return
             edge = top.m if rightward else top.k
-            for state in attached(below.q, top.t):
+            for state in selected(below.q, top.t, shape, rightward):
                 yield 2, make(below, rightward, edge, state), None
         return Clause(label, matcher)
 
     # -- 6/7: attach a completed rule as a new subtree root -----------------
 
     def attach_rule(label, shape, rightward):
-        @cache
-        def rooted(q, lhs):
-            """The members of the side's set of `q` whose root is `lhs`."""
-            return goto_sym(side_set[rightward](q), lhs)
-
         def matcher(stack, tokens):
             if len(stack) < 2:
                 return
@@ -292,7 +272,7 @@ def build_ghi(g: GenHeadGrammar) -> Automaton:
                 return
             if not (below.m <= top.k if rightward else top.m <= below.k):
                 return
-            q2 = rooted(below.q, top.t.lhs)
+            q2 = headed(below.q, top.t.lhs, rightward)
             if q2:
                 lo, hi = (below.m, below.j) if rightward else (below.i, below.k)
                 yield 1, FullItem(lo, top.k, q2, top.m, hi), None
@@ -357,9 +337,10 @@ def build_ghi(g: GenHeadGrammar) -> Automaton:
         sides = {FullItem: ((True, right, "1a", "2a"), (False, left, "1b", "2b")),
                  RightOpenItem: ((True, right, "1c", "3a"),),
                  LeftOpenItem: ((False, left, "1d", "3b"),)}[shape]
-        empty = [label for rightward, _, label, _ in sides if select[rightward](q, None)]
+        empty = [label for rightward, _, label, _ in sides
+                 if selected(q, None, shape, rightward)]
         return tuple(empty + [label for rightward, room, _, label in sides
-                              if room and scan_heads(side_set[rightward](q))]), None
+                              if room and heads(q, rightward)]), None
 
     def attach_plan(labels):
         guards = {FullItem: labels[:2], RightOpenItem: labels[2:3],

@@ -162,23 +162,17 @@ def build_hi(aug: AugmentedGrammar) -> Automaton:
                     == (fin.i, fin.k, fin.m, fin.j) and fin.q <= top.q)
         return accepting
 
+    # a fixed order, so which gotos `side_of` computes does not vary with
+    # string hashing
+    terminals = sorted(aug.terminals)
+
     @cache
     def side_of(q, rightward):
-        """What `q` can take on one side, read off its pending symbols and the
-        head-corner relations: the terminals whose fresh-head goto from `q`
-        is not empty, and whether some terminal's advancing goto is not."""
-        pending = _pending(aug, q, rightward)
-        pend = pending & nts
-        gate = rels.left if rightward else rels.right
-        heads, scans = set(), not pending <= nts
-        for x, rids in aug.rules_with_terminal_head.items():
-            for r in map(rules.__getitem__, rids):
-                if any((r.lhs, b) in rels.full for b in pend):
-                    heads.add(x)
-                edge = 0 if rightward else len(r.rhs) - 1
-                scans = scans or (r.head == edge
-                                  and any((r.lhs, b) in gate for b in pend))
-        return frozenset(heads), scans
+        """What `q` can take on one side, read off its gotos: the terminal
+        heads whose fresh-head goto from `q` is not empty, and whether some
+        terminal's advancing goto is not."""
+        return (frozenset(x for x in aug.rules_with_terminal_head if goto1[rightward](q, x)),
+                any(goto2[rightward](q, x) for x in terminals))
 
     def new_head_side(rightward):
         goto = goto1[rightward]
@@ -193,13 +187,8 @@ def build_hi(aug: AugmentedGrammar) -> Automaton:
             else:
                 lo, hi = i, k
                 found = positions(tokens, heads, i, k - 1)
-            for p in found:
-                a = tokens[p - 1]
-                if a in nts:  # a token that spells a nonterminal matches nothing
-                    continue
-                q2 = goto(q, a)
-                if q2:
-                    yield 0, HiItem(lo, p - 1, q2, p, hi), p
+            for p in found:  # heads have a fresh-head goto that is not empty
+                yield 0, HiItem(lo, p - 1, goto(q, tokens[p - 1]), p, hi), p
         return matcher
 
     def scan_side(rightward):

@@ -191,27 +191,25 @@ def _make_attach(facts, rightward):
     return matcher
 
 
-def _dotted_plan(aug, predicts, finished, can_predict):
+def _dotted_plan(facts, predicts, finished, can_predict):
     """`Automaton.plan` of td and hc for a dotted top, per rule, dots and
-    sides with input left, read off the early exits: on a side with input
-    left, a pending nonterminal `b` lets its clause in `predicts` fire if
-    `can_predict(b)`, a pending terminal 2a/2b.  A finished rule has nothing
-    pending, and only `finished` (3, 3a/3b, 4a/4b) can fire on it, reading
-    the item below it."""
-    nts = aug.nonterminals
+    sides with input left, read off the state's `facts`: on a side with
+    input left, a pending nonterminal `b` lets its clause in `predicts` fire
+    if `can_predict(b)`, a pending terminal 2a/2b.  A finished rule has
+    nothing pending, and only `finished` (3, 3a/3b, 4a/4b) can fire on it,
+    reading the item below it."""
     done_plan = ((), (2, finished, None))
 
     @cache
     def plan_of(rule, ld, rd, right, left):
-        rhs = aug.rules[rule].rhs
-        if ld == 0 and rd == len(rhs):
+        fact = facts(rule, ld, rd)
+        if fact[DONE] is not None:
             return done_plan
-        pending = (rhs[rd] if right and rd < len(rhs) else None,
-                   rhs[ld - 1] if left and ld > 0 else None)
-        return (tuple(label for label, b in zip(predicts, pending)
-                      if b in nts and can_predict(b))
-                + tuple(label for label, a in zip(("2a", "2b"), pending)
-                        if a is not None and a not in nts)), None
+        rooms = (right, left)
+        return (tuple(label for label, b, room in zip(predicts, fact[RIGHT_NT:DONE], rooms)
+                      if room and b is not None and can_predict(b))
+                + tuple(label for label, a, room in zip(("2a", "2b"), fact[:RIGHT_NT], rooms)
+                        if room and a is not None)), None
 
     def plan(top):
         return plan_of(top.rule, top.ld, top.rd, top.m < top.j, top.i < top.k)
@@ -317,7 +315,7 @@ def build_td(aug: AugmentedGrammar) -> Automaton:
         Clause("4a", _make_attach(facts, True)),
         Clause("4b", _make_attach(facts, False)),
     )
-    dotted_plan = _dotted_plan(aug, ("0a", "0b"), ("3", "4a", "4b"), lambda b: True)
+    dotted_plan = _dotted_plan(facts, ("0a", "0b"), ("3", "4a", "4b"), lambda b: True)
 
     goal_plans = {(b, room): (("0",) * (b in nt_heads_by_lhs)
                               + ("1",) * (room and b in t_heads_by_lhs), None)
@@ -352,18 +350,16 @@ def build_hc(aug: AugmentedGrammar) -> Automaton:
         return Dotted(-1, -1, aug.start_rule_id, 0, 2, n, n)
 
     @cache
-    def heads_for(b):
-        """The terminals that head a rule whose left-hand side is a head
-        corner of `b`."""
-        return frozenset(a for a, rids in t_heads.items()
-                         if any((aug.rules[rid].lhs, b) in pairs for rid in rids))
-
-    @cache
     def fresh(b, a):
         """The head states of the rules headed by `a` whose left-hand side
         is a head corner of `b`."""
         return _head_states(aug, [rid for rid in t_heads.get(a, ())
                                   if (aug.rules[rid].lhs, b) in pairs])
+
+    @cache
+    def heads_for(b):
+        """The terminals whose head states for `b` are not empty."""
+        return frozenset(a for a in t_heads if fresh(b, a))
 
     @cache
     def climbs(top_rule, top_ld, top_rd, rule, ld, rd, rightward):
@@ -425,69 +421,42 @@ def build_hc(aug: AugmentedGrammar) -> Automaton:
     )
     return Automaton("hc", clauses, make_init, make_fin, _render_td(aug),
                      (len(aug.rules), len(nts)),
-                     plan=_dotted_plan(aug, ("1a", "1b"), ("3a", "3b", "4a", "4b"), heads_for))
+                     plan=_dotted_plan(facts, ("1a", "1b"), ("3a", "3b", "4a", "4b"), heads_for))
 
 
 # ------------------------------------------------------------------ infix index
 
 class InfixIndex:
-    """Occurrence index of head-containing infixes, one entry per
-    (left-hand side, infix) pair, unioned over all rules and positions.
-
-    Drives the PHI/EHI side conditions in O(1)-ish time per check:
-    which symbol may extend an infix on either side, which nonterminals
-    follow it, and which left-hand sides have it as a whole right-hand side
-    (`complete`, keyed by infix alone).
+    """Occurrence index of head-containing infixes, unioned over all rules
+    and positions: `after` and `before` map (left-hand side, infix) to the
+    symbols next to the infix on the right and on the left in some rule of
+    that left-hand side, and `complete` maps an infix to the left-hand
+    sides that have it as a whole right-hand side.
     """
 
     def __init__(self, aug: AugmentedGrammar):
-        right_ext = set()
-        left_ext = set()
-        right_nt = {}
-        left_nt = {}
-        complete = {}
+        after, before, complete = {}, {}, {}
         for r in aug.rules:
             rhs = r.rhs
             size = len(rhs)
             for s in range(0, r.head + 1):
                 for e in range(r.head + 1, size + 1):
                     gamma = rhs[s:e]
-                    key = (r.lhs, gamma)
                     if e < size:
-                        nxt = rhs[e]
-                        right_ext.add((r.lhs, gamma, nxt))
-                        if nxt in aug.nonterminals:
-                            right_nt.setdefault(key, set()).add(nxt)
+                        after.setdefault((r.lhs, gamma), set()).add(rhs[e])
                     if s > 0:
-                        prv = rhs[s - 1]
-                        left_ext.add((r.lhs, gamma, prv))
-                        if prv in aug.nonterminals:
-                            left_nt.setdefault(key, set()).add(prv)
+                        before.setdefault((r.lhs, gamma), set()).add(rhs[s - 1])
                     if s == 0 and e == size:
                         complete.setdefault(gamma, set()).add(r.lhs)
-        self.right_ext = frozenset(right_ext)
-        self.left_ext = frozenset(left_ext)
-        self.right_nt = {k: frozenset(v) for k, v in right_nt.items()}
-        self.left_nt = {k: frozenset(v) for k, v in left_nt.items()}
-        self.complete = {k: frozenset(v) for k, v in complete.items()}
-        # (left-hand side, infix) pairs that a symbol other than a
-        # nonterminal extends, on the right and on the left
-        self.scanned = tuple(frozenset(key[:2] for key in ext
-                                       if key[2] not in aug.nonterminals)
-                             for ext in (right_ext, left_ext))
+        self.after, self.before, self.complete = (
+            {k: frozenset(v) for k, v in table.items()}
+            for table in (after, before, complete))
 
 
 def _distinct_lhs(rule_map, aug):
     """head symbol -> left-hand sides of its rules, in first-rule order."""
-    out = {}
-    for sym, rids in rule_map.items():
-        seen = []
-        for rid in rids:
-            lhs = aug.rules[rid].lhs
-            if lhs not in seen:
-                seen.append(lhs)
-        out[sym] = tuple(seen)
-    return out
+    return {sym: tuple(dict.fromkeys(aug.rules[rid].lhs for rid in rids))
+            for sym, rids in rule_map.items()}
 
 
 # ------------------------------------------------------------- PHI and EHI
@@ -516,11 +485,14 @@ def _build_infix(aug, name, merge_lhs):
             return (frozenset(survivors),)
         return [single[c] for c in survivors]
 
+    def next_to(x, gamma, rightward):
+        """The symbols next to `gamma` on one side in some rule of `x`."""
+        return (index.after if rightward else index.before).get((x, gamma), frozenset())
+
     def extended(delta, gamma, sym, rightward):
         """(delta, gamma) extended by `sym` on one side, keeping the members
         with a rule that continues `gamma` so; None when none has one."""
-        extensions = index.right_ext if rightward else index.left_ext
-        delta = frozenset([x for x in delta if (x, gamma, sym) in extensions])
+        delta = frozenset([x for x in delta if sym in next_to(x, gamma, rightward)])
         if not delta:
             return None
         return delta, gamma + (sym,) if rightward else (sym,) + gamma
@@ -539,16 +511,6 @@ def _build_infix(aug, name, merge_lhs):
         return sorted(delta & lhs) if lhs else ()
 
     @cache
-    def predicted(delta, gamma, rightward):
-        """The nonterminals an item may extend `gamma` with on this side, and
-        the terminals that head a rule of a head corner of one of them."""
-        continuations = index.right_nt if rightward else index.left_nt
-        targets = frozenset(b for a in delta for b in continuations.get((a, gamma), ()))
-        return targets, frozenset(
-            a for a, lhss in term_lhs.items()
-            if any((c, b) in pairs for c in lhss for b in targets))
-
-    @cache
     def fresh(targets, a):
         """The states of the items that the head terminal `a` starts for
         one of `targets`."""
@@ -556,18 +518,25 @@ def _build_infix(aug, name, merge_lhs):
         return tuple((delta, gamma) for delta in deltas(term_lhs.get(a, ()), targets))
 
     @cache
+    def predicted(delta, gamma, rightward):
+        """The nonterminals an item may extend `gamma` with on this side, and
+        the terminals that start an item for one of them."""
+        targets = frozenset(b for x in delta for b in next_to(x, gamma, rightward)
+                            if b in nts)
+        return targets, frozenset(a for a in term_lhs if fresh(targets, a))
+
+    @cache
     def plan_of(delta, gamma, right, left):
-        """Read off the early exits: 1a/1b need heads to predict and input
-        left on their side; 2a/2b need input there and a member whose
+        """Read off the clauses' tables: 1a/1b need heads to predict and
+        input left on their side; 2a/2b need input there and a member whose
         `gamma` a terminal extends there; 3a..4b need a completed member on
         top, and read the item below it."""
-        rooms = (right, left)
-        alone = [label for label, rightward, room in zip(("1a", "1b"), (True, False), rooms)
+        sides = ((True, right), (False, left))
+        alone = [label for label, (rightward, room) in zip(("1a", "1b"), sides)
                  if room and predicted(delta, gamma, rightward)[1]]
-        alone += [label for label, ext, room in zip(("2a", "2b"), index.scanned, rooms)
-                  if room and any((x, gamma) in ext for x in delta)]
-        lhs = index.complete.get(gamma)
-        done = lhs and not delta.isdisjoint(lhs)
+        alone += [label for label, (rightward, room) in zip(("2a", "2b"), sides)
+                  if room and any(not next_to(x, gamma, rightward) <= nts for x in delta)]
+        done = completed(delta, gamma)
         return tuple(alone), (2, ("3a", "3b", "4a", "4b"), None) if done else None
 
     def plan(top):
