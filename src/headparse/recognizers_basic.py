@@ -1,13 +1,18 @@
 """Clause sets for the four flat head-grammar recognizers.
 
-All four share one skeleton: the head of a rule is recognized first, then
-the neighbouring members are attached, rightward and leftward.  They
-differ in how much prediction is compiled in and how much sharing happens
-between rules:
+All four run one clause schema: the head of a rule is recognized first,
+then the neighbouring members are attached, rightward and leftward.
+1a/1b predict a head terminal next to the recognized stretch, 2a/2b scan
+a terminal there, 3a/3b let a finished item climb to the head of a rule
+for the nonterminal the item below has pending, and 4a/4b attach it as
+that member.  The recognizers differ only in what an item's state
+records, and so in the per-state tables their builders hand the clauses:
 
-  * `build_td`   - top-down: explicit goal items drive prediction.
+  * `build_td`   - top-down: explicit goal items drive prediction, in its
+                   own clauses 0, 0a/0b, 1 and 3; items are double-dotted
+                   rules.
   * `build_hc`   - head-corner: prediction compiled into the head-corner
-                   relation; items are double-dotted rules.
+                   relation; items and most tables are td's.
   * `build_phi`  - predictive head-inward: items carry only the recognized
                    infix, so rules of one nonterminal sharing an infix are
                    processed together.
@@ -17,12 +22,15 @@ between rules:
 PHI and EHI share one builder and one item type, `SetInfix`: PHI is EHI
 with every set of left-hand sides split into single-member sets.
 
-Every "a" clause works on the right side of a recognized stretch and has a
-mirrored "b" twin working on the left; each pair is generated from a single
-implementation parameterised by direction, so the twins cannot drift
-apart.  Index equalities that hold automatically for reachable stacks
-(e.g. that a completed subitem's window agrees with its parent's) are
-asserted rather than assumed.
+Every item but td's goals is laid out `(i, k, *state, m, j)`, so
+`item[2:-2]` is the state the tables are keyed by: a dotted rule's
+`(rule, ld, rd)` or an infix's `(delta, gamma)`.  Each clause is written
+once, as a factory over the item type and the tables, and an "a" clause
+and its mirrored "b" twin, working on the left, come from one factory
+parameterised by direction, so no two copies can drift apart.  Index
+equalities that hold automatically for reachable stacks (e.g. that a
+completed subitem's window agrees with its parent's) are asserted rather
+than assumed.
 
 Items live on spans of the input extended with the bottom marker at
 position 0: an item's outer span (i, j] bounds where material may still
@@ -103,30 +111,144 @@ def _render_set_infix(item):
         item.m, item.j)
 
 
-# ------------------------------------------------------------ shared pieces
+# ------------------------------------------------------------ the clause set
+#
+# A clause reads an item's positions itself and its state only through the
+# builder's tables, each worked out once per state (and token):
+#   predicted(state, rightward)     (targets, heads) the item may extend
+#       its stretch with there, or None when no head terminal starts one
+#   fresh(targets, a)               the states the head terminal `a` starts
+#   scanned(state, a, rightward)    the state over the token `a`, or None
+#   climbs(top, below, rightward)   the states a finished top climbs to
+#       under the item below, or None
+#   attaches(top, below, rightward) the states the item below becomes
+#   scans(state, rightward)         whether a terminal is pending there
+#   done(state)                     whether the state is finished
 
-# fields of a dotted state's facts: the terminal pending right and left of
-# the recognized stretch, the nonterminal pending there, and the rule's
-# left-hand side once it is finished; None where there is none
-RIGHT_T, LEFT_T, RIGHT_NT, LEFT_NT, DONE = range(5)
+def _predict(item, predicted, fresh, rightward):
+    """Clause 1a/1b: push the items each head terminal in the top's outer
+    span, on this side of its recognized stretch, starts."""
+    def matcher(stack, tokens):
+        top = stack[-1]
+        found = predicted(top[2:-2], rightward)
+        if found is None:
+            return
+        targets, heads = found
+        lo, hi = (top.m, top.j) if rightward else (top.i, top.k)
+        for p in positions(tokens, heads, lo, hi):
+            for state in fresh(targets, tokens[p - 1]):
+                yield 0, item(lo, p - 1, *state, p, hi), p
+    return matcher
 
 
-def _dotted_facts(aug):
-    """The grammar facts of a dotted state (rule, ld, rd), worked out once
-    per state: what td's and hc's clauses read of a dotted item besides
-    its positions."""
-    nts = aug.nonterminals
+def _scan(item, scanned, rightward):
+    """Clause 2a/2b: extend the recognized stretch over an adjacent
+    terminal."""
+    def matcher(stack, tokens):
+        top = stack[-1]
+        if type(top) is not item:
+            return
+        i, k, m, j = top.i, top.k, top.m, top.j
+        if rightward:
+            if m < j:
+                state = scanned(top[2:-2], tokens[m], True)
+                if state is not None:
+                    yield 1, item(i, k, *state, m + 1, j), m + 1
+        elif i < k:
+            state = scanned(top[2:-2], tokens[k - 1], False)
+            if state is not None:
+                yield 1, item(i, k - 1, *state, m, j), k
+    return matcher
+
+
+def _attach_head(item, climbs, rightward):
+    """Clause 3a/3b: a finished top becomes the head of a rule for a
+    nonterminal the item below it has pending on this side."""
+    def matcher(stack, tokens):
+        if len(stack) < 2:
+            return
+        top = stack[-1]
+        below = stack[-2]
+        pushes = climbs(top[2:-2], below[2:-2], rightward)
+        if pushes is None:
+            return
+        if rightward:
+            if below.m != top.i:
+                return
+            assert below.j == top.j
+        else:
+            if below.k != top.j:
+                return
+            assert below.i == top.i
+        for state in pushes:
+            yield 1, item(top.i, top.k, *state, top.m, top.j), None
+    return matcher
+
+
+def _attach_member(item, attaches, rightward):
+    """Clause 4a/4b: a finished top directly above an item becomes the
+    member it has pending next to its recognized stretch."""
+    def matcher(stack, tokens):
+        if len(stack) < 2:
+            return
+        top = stack[-1]
+        below = stack[-2]
+        if type(top) is not item or type(below) is not item:
+            return
+        i, k, m, j = below.i, below.k, below.m, below.j
+        if rightward:
+            if m != top.k:
+                return
+            for state in attaches(top[2:-2], below[2:-2], True):
+                assert m == top.i and j == top.j
+                yield 2, item(i, k, *state, top.m, j), None
+        else:
+            if k != top.m:
+                return
+            for state in attaches(top[2:-2], below[2:-2], False):
+                assert k == top.j and i == top.i
+                yield 2, item(i, top.k, *state, m, j), None
+    return matcher
+
+
+def _plan(predicts, finished, predicted, scans, done):
+    """`Automaton.plan` for a top laid out (i, k, *state, m, j), per state
+    and sides with input left, read off the tables: on such a side the
+    clause in `predicts` needs something `predicted`, and 2a/2b a terminal
+    to scan.  Only on a finished state can `finished` (attaching a head or
+    a member) fire, reading the item below it."""
+    window = (2, finished, None)
 
     @cache
-    def facts(rule, ld, rd):
-        r = aug.rules[rule]
-        right = r.rhs[rd] if rd < len(r.rhs) else None
-        left = r.rhs[ld - 1] if ld > 0 else None
-        return (None if right in nts else right, None if left in nts else left,
-                right if right in nts else None, left if left in nts else None,
-                r.lhs if ld == 0 and rd == len(r.rhs) else None)
-    return facts
+    def plan_of(state, right, left):
+        sides = ((True, right), (False, left))
+        alone = tuple(label for label, (rightward, room) in zip(predicts, sides)
+                      if room and predicted(state, rightward) is not None)
+        alone += tuple(label for label, (rightward, room) in zip(("2a", "2b"), sides)
+                       if room and scans(state, rightward))
+        return alone, window if done(state) else None
 
+    def plan(top):
+        return plan_of(top[2:-2], top.m < top.j, top.i < top.k)
+    return plan
+
+
+def _clause_set(item, predicted, fresh, scanned, climbs, attaches, scans, done):
+    """Clauses 1a..4b over `item`s and their plan, from a builder's tables."""
+    clauses = (
+        Clause("1a", _predict(item, predicted, fresh, True)),
+        Clause("1b", _predict(item, predicted, fresh, False)),
+        Clause("2a", _scan(item, scanned, True)),
+        Clause("2b", _scan(item, scanned, False)),
+        Clause("3a", _attach_head(item, climbs, True)),
+        Clause("3b", _attach_head(item, climbs, False)),
+        Clause("4a", _attach_member(item, attaches, True)),
+        Clause("4b", _attach_member(item, attaches, False)),
+    )
+    return clauses, _plan(("1a", "1b"), ("3a", "3b", "4a", "4b"), predicted, scans, done)
+
+
+# ------------------------------------------------------------ dotted tables
 
 def _head_states(aug, rids):
     """The dotted states (rule, ld, rd) of the rules `rids` with only their
@@ -134,86 +256,63 @@ def _head_states(aug, rids):
     return tuple((rid, aug.rules[rid].head, aug.rules[rid].head + 1) for rid in rids)
 
 
-def _make_scan(facts, rightward):
-    """Clause 2a/2b of the dotted-item recognizers: extend the recognized
-    stretch over an adjacent terminal."""
-    side = RIGHT_T if rightward else LEFT_T
+def _dotted_tables(aug):
+    """td's and hc's tables over dotted states (rule, ld, rd): `pending`
+    gives the nonterminal pending on a side, and `done` a finished rule's
+    left-hand side, each None where there is none."""
+    nts = aug.nonterminals
 
-    def matcher(stack, tokens):
-        top = stack[-1]
-        if type(top) is not Dotted:
-            return
-        i, k, rule, ld, rd, m, j = top
-        sym = facts(rule, ld, rd)[side]
-        if sym is None:
-            return
+    def next_to(state, rightward):
+        """The member of the state's rule next to the recognized stretch
+        on this side, or None."""
+        rule, ld, rd = state
+        rhs = aug.rules[rule].rhs
         if rightward:
-            if m < j and tokens[m] == sym:
-                yield 1, Dotted(i, k, rule, ld, rd + 1, m + 1, j), m + 1
-        else:
-            if i < k and tokens[k - 1] == sym:
-                yield 1, Dotted(i, k - 1, rule, ld - 1, rd, m, j), k
-    return matcher
+            return rhs[rd] if rd < len(rhs) else None
+        return rhs[ld - 1] if ld > 0 else None
 
-
-def _make_attach(facts, rightward):
-    """Clause 4a/4b: a completed rule directly above a dotted item becomes
-    the pending member adjacent to the recognized stretch."""
-    side = RIGHT_NT if rightward else LEFT_NT
+    def moved(state, rightward):
+        """The state with the recognized stretch one member wider."""
+        rule, ld, rd = state
+        return (rule, ld, rd + 1) if rightward else (rule, ld - 1, rd)
 
     @cache
-    def attaches(top_rule, top_ld, top_rd, rule, ld, rd):
-        """Whether a top in the first state finishes the rule the item
-        below, in the second, has pending on this side."""
-        lhs = facts(top_rule, top_ld, top_rd)[DONE]
-        return lhs is not None and facts(rule, ld, rd)[side] == lhs
-
-    def matcher(stack, tokens):
-        if len(stack) < 2:
-            return
-        top = stack[-1]
-        below = stack[-2]
-        if type(top) is not Dotted or type(below) is not Dotted:
-            return
-        i, k, rule, ld, rd, m, j = below
-        if not attaches(top.rule, top.ld, top.rd, rule, ld, rd):
-            return
-        if rightward:
-            if m != top.k:
-                return
-            assert m == top.i and j == top.j
-            yield 2, Dotted(i, k, rule, ld, rd + 1, top.m, j), None
-        else:
-            if k != top.m:
-                return
-            assert k == top.j and i == top.i
-            yield 2, Dotted(i, top.k, rule, ld - 1, rd, m, j), None
-    return matcher
-
-
-def _dotted_plan(facts, predicts, finished, can_predict):
-    """`Automaton.plan` of td and hc for a dotted top, per rule, dots and
-    sides with input left, read off the state's `facts`: on a side with
-    input left, a pending nonterminal `b` lets its clause in `predicts` fire
-    if `can_predict(b)`, a pending terminal 2a/2b.  A finished rule has
-    nothing pending, and only `finished` (3, 3a/3b, 4a/4b) can fire on it,
-    reading the item below it."""
-    done_plan = ((), (2, finished, None))
+    def pending(state, rightward):
+        sym = next_to(state, rightward)
+        return sym if sym in nts else None
 
     @cache
-    def plan_of(rule, ld, rd, right, left):
-        fact = facts(rule, ld, rd)
-        if fact[DONE] is not None:
-            return done_plan
-        rooms = (right, left)
-        return (tuple(label for label, b, room in zip(predicts, fact[RIGHT_NT:DONE], rooms)
-                      if room and b is not None and can_predict(b))
-                + tuple(label for label, a, room in zip(("2a", "2b"), fact[:RIGHT_NT], rooms)
-                        if room and a is not None)), None
+    def scanned(state, a, rightward):
+        if a in nts or next_to(state, rightward) != a:
+            return None
+        return moved(state, rightward)
 
-    def plan(top):
-        return plan_of(top.rule, top.ld, top.rd, top.m < top.j, top.i < top.k)
-    return plan
+    @cache
+    def attaches(top, below, rightward):
+        lhs = done(top)
+        if lhs is None or pending(below, rightward) != lhs:
+            return ()
+        return (moved(below, rightward),)
+
+    def scans(state, rightward):
+        sym = next_to(state, rightward)
+        return sym is not None and sym not in nts
+
+    @cache
+    def done(state):
+        rule, ld, rd = state
+        r = aug.rules[rule]
+        return r.lhs if ld == 0 and rd == len(r.rhs) else None
+
+    return pending, scanned, attaches, scans, done
+
+
+def _dotted_ends(aug):
+    """td's and hc's `make_init` and `make_fin`: the start rule with only
+    the bottom marker recognized, and finished."""
+    rule = aug.start_rule_id
+    return (lambda n: Dotted(-1, -1, rule, 0, 1, 0, n),
+            lambda n: Dotted(-1, -1, rule, 0, 2, n, n))
 
 
 # ------------------------------------------------------------------ TD
@@ -221,7 +320,7 @@ def _dotted_plan(facts, predicts, finished, can_predict):
 def build_td(aug: AugmentedGrammar) -> Automaton:
     """Head-driven top-down recognizer (goal items plus dotted items)."""
     nts = aug.nonterminals
-    facts = _dotted_facts(aug)
+    pending, scanned, attaches, scans, done = _dotted_tables(aug)
     nt_heads_by_lhs = {}
     t_heads_by_lhs = {}
     for rid, r in enumerate(aug.rules):
@@ -247,12 +346,6 @@ def build_td(aug: AugmentedGrammar) -> Automaton:
         """The head states of `sym`'s rules headed by the nonterminal `b`."""
         return _head_states(aug, [rid for rid, h in nt_heads_by_lhs.get(sym, ()) if h == b])
 
-    def make_init(n):
-        return Dotted(-1, -1, aug.start_rule_id, 0, 1, 0, n)
-
-    def make_fin(n):
-        return Dotted(-1, -1, aug.start_rule_id, 0, 2, n, n)
-
     def clause_0(stack, tokens):
         top = stack[-1]
         if type(top) is not Goal:
@@ -261,21 +354,18 @@ def build_td(aug: AugmentedGrammar) -> Automaton:
             yield 0, Goal(top.i, b, top.j), None
 
     def predict_side(rightward):
-        side = RIGHT_NT if rightward else LEFT_NT
-
         def matcher(stack, tokens):
             top = stack[-1]
             if type(top) is not Dotted:
                 return
-            sym = facts(top.rule, top.ld, top.rd)[side]
+            sym = pending(top[2:-2], rightward)
             if sym is None:
                 return
             if rightward:
                 if top.m < top.j:
                     yield 0, Goal(top.m, sym, top.j), None
-            else:
-                if top.i < top.k:
-                    yield 0, Goal(top.i, sym, top.k), None
+            elif top.i < top.k:
+                yield 0, Goal(top.i, sym, top.k), None
         return matcher
 
     def clause_1(stack, tokens):
@@ -297,7 +387,7 @@ def build_td(aug: AugmentedGrammar) -> Automaton:
         below = stack[-2]
         if type(top) is not Dotted or type(below) is not Goal:
             return
-        b = facts(top.rule, top.ld, top.rd)[DONE]
+        b = done(top[2:-2])
         if b is None:
             return
         assert below.i == top.i and below.j == top.j
@@ -309,13 +399,14 @@ def build_td(aug: AugmentedGrammar) -> Automaton:
         Clause("0a", predict_side(True)),
         Clause("0b", predict_side(False)),
         Clause("1", clause_1),
-        Clause("2a", _make_scan(facts, True)),
-        Clause("2b", _make_scan(facts, False)),
+        Clause("2a", _scan(Dotted, scanned, True)),
+        Clause("2b", _scan(Dotted, scanned, False)),
         Clause("3", clause_3),
-        Clause("4a", _make_attach(facts, True)),
-        Clause("4b", _make_attach(facts, False)),
+        Clause("4a", _attach_member(Dotted, attaches, True)),
+        Clause("4b", _attach_member(Dotted, attaches, False)),
     )
-    dotted_plan = _dotted_plan(facts, ("0a", "0b"), ("3", "4a", "4b"), lambda b: True)
+    # 0a/0b need only a pending nonterminal: a goal predicts its own heads
+    dotted_plan = _plan(("0a", "0b"), ("3", "4a", "4b"), pending, scans, done)
 
     goal_plans = {(b, room): (("0",) * (b in nt_heads_by_lhs)
                               + ("1",) * (room and b in t_heads_by_lhs), None)
@@ -329,7 +420,7 @@ def build_td(aug: AugmentedGrammar) -> Automaton:
             return goal_plans[top.sym, top.i < top.j]
         return dotted_plan(top)
 
-    return Automaton("td", clauses, make_init, make_fin, _render_td(aug),
+    return Automaton("td", clauses, *_dotted_ends(aug), _render_td(aug),
                      (len(aug.rules), len(nts)), plan=plan)
 
 
@@ -338,16 +429,9 @@ def build_td(aug: AugmentedGrammar) -> Automaton:
 def build_hc(aug: AugmentedGrammar) -> Automaton:
     """Head-corner recognizer: prediction gated by the head-corner relation."""
     pairs = head_corner(aug, FULL)
-    nts = aug.nonterminals
     t_heads = aug.rules_with_terminal_head
     nt_heads = aug.rules_with_nonterminal_head
-    facts = _dotted_facts(aug)
-
-    def make_init(n):
-        return Dotted(-1, -1, aug.start_rule_id, 0, 1, 0, n)
-
-    def make_fin(n):
-        return Dotted(-1, -1, aug.start_rule_id, 0, 2, n, n)
+    pending, scanned, attaches, scans, done = _dotted_tables(aug)
 
     @cache
     def fresh(b, a):
@@ -362,66 +446,29 @@ def build_hc(aug: AugmentedGrammar) -> Automaton:
         return frozenset(a for a in t_heads if fresh(b, a))
 
     @cache
-    def climbs(top_rule, top_ld, top_rd, rule, ld, rd, rightward):
-        """The head states of the rules headed by what a top in the first
-        state finishes whose left-hand side is a head corner of the
-        nonterminal the item below, in the second, has pending on this
-        side; None when the top is not finished or nothing is pending."""
-        b = facts(top_rule, top_ld, top_rd)[DONE]
-        pending = facts(rule, ld, rd)[RIGHT_NT if rightward else LEFT_NT]
-        if b is None or pending is None:
+    def predicted(state, rightward):
+        """The nonterminal pending on this side and its heads, or None."""
+        b = pending(state, rightward)
+        heads = () if b is None else heads_for(b)
+        return (b, heads) if heads else None
+
+    @cache
+    def climbs(top, below, rightward):
+        """The head states of the rules headed by what a top in state `top`
+        finishes whose left-hand side is a head corner of the nonterminal
+        the item below, in state `below`, has pending on this side; None
+        when the top is not finished or nothing is pending."""
+        b = done(top)
+        wanted = pending(below, rightward)
+        if b is None or wanted is None:
             return None
         return _head_states(aug, [rid for rid in nt_heads.get(b, ())
-                                  if (aug.rules[rid].lhs, pending) in pairs])
+                                  if (aug.rules[rid].lhs, wanted) in pairs])
 
-    def new_head_side(rightward):
-        side = RIGHT_NT if rightward else LEFT_NT
-
-        def matcher(stack, tokens):
-            i, k, rule, ld, rd, m, j = stack[-1]
-            b = facts(rule, ld, rd)[side]
-            if b is None:
-                return
-            lo, hi = (m, j) if rightward else (i, k)
-            for p in positions(tokens, heads_for(b), lo, hi):
-                for rid, hl, hr in fresh(b, tokens[p - 1]):
-                    yield 0, Dotted(lo, p - 1, rid, hl, hr, p, hi), p
-        return matcher
-
-    def attach_head_side(rightward):
-        def matcher(stack, tokens):
-            if len(stack) < 2:
-                return
-            top = stack[-1]
-            below = stack[-2]
-            pushes = climbs(top.rule, top.ld, top.rd, below.rule, below.ld, below.rd, rightward)
-            if pushes is None:
-                return
-            if rightward:
-                if below.m != top.i:
-                    return
-                assert below.j == top.j
-            else:
-                if below.k != top.j:
-                    return
-                assert below.i == top.i
-            for rid, ld, rd in pushes:
-                yield 1, Dotted(top.i, top.k, rid, ld, rd, top.m, top.j), None
-        return matcher
-
-    clauses = (
-        Clause("1a", new_head_side(True)),
-        Clause("1b", new_head_side(False)),
-        Clause("2a", _make_scan(facts, True)),
-        Clause("2b", _make_scan(facts, False)),
-        Clause("3a", attach_head_side(True)),
-        Clause("3b", attach_head_side(False)),
-        Clause("4a", _make_attach(facts, True)),
-        Clause("4b", _make_attach(facts, False)),
-    )
-    return Automaton("hc", clauses, make_init, make_fin, _render_td(aug),
-                     (len(aug.rules), len(nts)),
-                     plan=_dotted_plan(facts, ("1a", "1b"), ("3a", "3b", "4a", "4b"), heads_for))
+    clauses, plan = _clause_set(Dotted, predicted, fresh, scanned, climbs,
+                                attaches, scans, done)
+    return Automaton("hc", clauses, *_dotted_ends(aug), _render_td(aug),
+                     (len(aug.rules), len(aug.nonterminals)), plan=plan)
 
 
 # ------------------------------------------------------------------ infix index
@@ -462,11 +509,10 @@ def _distinct_lhs(rule_map, aug):
 # ------------------------------------------------------------- PHI and EHI
 
 def _build_infix(aug, name, merge_lhs):
-    """Infix recognizer over `SetInfix` items.  Each step computes the
-    left-hand sides that survive it; EHI keeps them as one item, PHI splits
-    them into one single-member item each, in the same order.  The states
-    (delta, gamma) a step pushes are worked out once per state of the items
-    it reads, and per token it scans, in one table per clause."""
+    """Infix recognizer over `SetInfix` items, whose state is (delta,
+    gamma).  Each step computes the left-hand sides that survive it; EHI
+    keeps them as one item, PHI splits them into one single-member item
+    each, in the same order."""
     pairs = head_corner(aug, FULL)
     nts = aug.nonterminals
     index = InfixIndex(aug)
@@ -489,9 +535,10 @@ def _build_infix(aug, name, merge_lhs):
         """The symbols next to `gamma` on one side in some rule of `x`."""
         return (index.after if rightward else index.before).get((x, gamma), frozenset())
 
-    def extended(delta, gamma, sym, rightward):
-        """(delta, gamma) extended by `sym` on one side, keeping the members
+    def extended(state, sym, rightward):
+        """The state extended by `sym` on one side, keeping the members
         with a rule that continues `gamma` so; None when none has one."""
+        delta, gamma = state
         delta = frozenset([x for x in delta if sym in next_to(x, gamma, rightward)])
         if not delta:
             return None
@@ -505,8 +552,9 @@ def _build_infix(aug, name, merge_lhs):
                         (aug.bottom, aug.start), n, n)
 
     @cache
-    def completed(delta, gamma):
+    def done(state):
         """Members of `delta` that have `gamma` as a whole right-hand side."""
+        delta, gamma = state
         lhs = index.complete.get(gamma)
         return sorted(delta & lhs) if lhs else ()
 
@@ -518,142 +566,53 @@ def _build_infix(aug, name, merge_lhs):
         return tuple((delta, gamma) for delta in deltas(term_lhs.get(a, ()), targets))
 
     @cache
-    def predicted(delta, gamma, rightward):
-        """The nonterminals an item may extend `gamma` with on this side, and
-        the terminals that start an item for one of them."""
-        targets = frozenset(b for x in delta for b in next_to(x, gamma, rightward)
-                            if b in nts)
-        return targets, frozenset(a for a in term_lhs if fresh(targets, a))
+    def wanted(state, rightward):
+        """The nonterminals an item may extend `gamma` with on this side."""
+        delta, gamma = state
+        return frozenset(b for x in delta for b in next_to(x, gamma, rightward)
+                         if b in nts)
 
     @cache
-    def plan_of(delta, gamma, right, left):
-        """Read off the clauses' tables: 1a/1b need heads to predict and
-        input left on their side; 2a/2b need input there and a member whose
-        `gamma` a terminal extends there; 3a..4b need a completed member on
-        top, and read the item below it."""
-        sides = ((True, right), (False, left))
-        alone = [label for label, (rightward, room) in zip(("1a", "1b"), sides)
-                 if room and predicted(delta, gamma, rightward)[1]]
-        alone += [label for label, (rightward, room) in zip(("2a", "2b"), sides)
-                  if room and any(not next_to(x, gamma, rightward) <= nts for x in delta)]
-        done = completed(delta, gamma)
-        return tuple(alone), (2, ("3a", "3b", "4a", "4b"), None) if done else None
+    def predicted(state, rightward):
+        """The nonterminals an item may extend `gamma` with on this side,
+        and the terminals that start an item for one of them; None when
+        none does."""
+        targets = wanted(state, rightward)
+        heads = frozenset(a for a in term_lhs if fresh(targets, a))
+        return (targets, heads) if heads else None
 
-    def plan(top):
-        return plan_of(top.delta, top.gamma, top.m < top.j, top.i < top.k)
+    @cache
+    def scanned(state, a, rightward):
+        return None if a in nts else extended(state, a, rightward)
 
-    def predict_scan_side(rightward):
-        def matcher(stack, tokens):
-            i, k, delta, gamma, m, j = stack[-1]
-            targets, heads = predicted(delta, gamma, rightward)
-            if not targets:
-                return
-            lo, hi = (m, j) if rightward else (i, k)
-            for p in positions(tokens, heads, lo, hi):
-                for new_delta, new_gamma in fresh(targets, tokens[p - 1]):
-                    yield 0, SetInfix(lo, p - 1, new_delta, new_gamma, p, hi), p
-        return matcher
+    @cache
+    def climbs(top, below, rightward):
+        """The states a top in state `top` becomes as each rule it
+        completes climbs to a head corner of a nonterminal the item below
+        continues with on this side; None when it completes none or the
+        item below continues with none."""
+        finished = done(top)
+        if not finished:
+            return None
+        targets = wanted(below, rightward)
+        if not targets:
+            return None
+        return tuple((new_delta, (b,)) for b in finished
+                     for new_delta in deltas(nt_lhs.get(b, ()), targets))
 
-    def scan_side(rightward):
-        @cache
-        def scanned(delta, gamma, a):
-            """The state over the adjacent token `a`, or None."""
-            return None if a in nts else extended(delta, gamma, a, rightward)
+    @cache
+    def attaches(top, below, rightward):
+        """The states the item below becomes as each rule a top in state
+        `top` completes extends it on this side."""
+        found = (extended(below, b, rightward) for b in done(top))
+        return tuple(state for state in found if state is not None)
 
-        def matcher(stack, tokens):
-            i, k, delta, gamma, m, j = stack[-1]
-            if rightward:
-                if m >= j:
-                    return
-                found = scanned(delta, gamma, tokens[m])
-            else:
-                if i >= k:
-                    return
-                found = scanned(delta, gamma, tokens[k - 1])
-            if found is None:
-                return
-            new_delta, new_gamma = found
-            if rightward:
-                yield 1, SetInfix(i, k, new_delta, new_gamma, m + 1, j), m + 1
-            else:
-                yield 1, SetInfix(i, k - 1, new_delta, new_gamma, m, j), k
-        return matcher
+    def scans(state, rightward):
+        delta, gamma = state
+        return any(not next_to(x, gamma, rightward) <= nts for x in delta)
 
-    def attach_head_side(rightward):
-        @cache
-        def climbs(delta, gamma, below_delta, below_gamma):
-            """The states a top in state (delta, gamma) becomes as each rule
-            it completes climbs to a head corner of a nonterminal the item
-            below continues with on this side; None when it completes none
-            or the item below continues with none."""
-            done = completed(delta, gamma)
-            if not done:
-                return None
-            targets = predicted(below_delta, below_gamma, rightward)[0]
-            if not targets:
-                return None
-            return tuple((new_delta, (b,)) for b in done
-                         for new_delta in deltas(nt_lhs.get(b, ()), targets))
-
-        def matcher(stack, tokens):
-            if len(stack) < 2:
-                return
-            top = stack[-1]
-            below = stack[-2]
-            pushes = climbs(top.delta, top.gamma, below.delta, below.gamma)
-            if pushes is None:
-                return
-            if rightward:
-                if below.m != top.i:
-                    return
-                assert below.j == top.j
-            else:
-                if below.k != top.j:
-                    return
-                assert below.i == top.i
-            for new_delta, new_gamma in pushes:
-                yield 1, SetInfix(top.i, top.k, new_delta, new_gamma, top.m, top.j), None
-        return matcher
-
-    def attach_member_side(rightward):
-        @cache
-        def attaches(delta, gamma, below_delta, below_gamma):
-            """The states the item below becomes as each rule a top in state
-            (delta, gamma) completes extends it on this side."""
-            found = (extended(below_delta, below_gamma, b, rightward)
-                     for b in completed(delta, gamma))
-            return tuple(state for state in found if state is not None)
-
-        def matcher(stack, tokens):
-            if len(stack) < 2:
-                return
-            top = stack[-1]
-            i, k, delta, gamma, m, j = stack[-2]
-            if rightward:
-                if m != top.k:
-                    return
-            else:
-                if k != top.m:
-                    return
-            for new_delta, new_gamma in attaches(top.delta, top.gamma, delta, gamma):
-                if rightward:
-                    assert m == top.i and j == top.j
-                    yield 2, SetInfix(i, k, new_delta, new_gamma, top.m, j), None
-                else:
-                    assert k == top.j and i == top.i
-                    yield 2, SetInfix(i, top.k, new_delta, new_gamma, m, j), None
-        return matcher
-
-    clauses = (
-        Clause("1a", predict_scan_side(True)),
-        Clause("1b", predict_scan_side(False)),
-        Clause("2a", scan_side(True)),
-        Clause("2b", scan_side(False)),
-        Clause("3a", attach_head_side(True)),
-        Clause("3b", attach_head_side(False)),
-        Clause("4a", attach_member_side(True)),
-        Clause("4b", attach_member_side(False)),
-    )
+    clauses, plan = _clause_set(SetInfix, predicted, fresh, scanned, climbs,
+                                attaches, scans, done)
     render = _render_set_infix if merge_lhs else _render_infix
     return Automaton(name, clauses, make_init, make_fin, render,
                      (len(aug.rules), len(nts)), plan=plan)

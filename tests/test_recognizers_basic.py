@@ -3,8 +3,8 @@ import pytest
 from headparse import Verdict, augment, run
 from headparse.corpus import all_inputs, eligible, head_grammar_corpus
 from headparse.oracle import enumerate_language
-from headparse.recognizers_basic import (Goal, SetInfix, build_ehi, build_hc,
-                                         build_phi, build_td)
+from headparse.recognizers_basic import (Dotted, Goal, SetInfix, build_ehi,
+                                         build_hc, build_phi, build_td)
 from conftest import FLAT_BUILDERS, accepts, explore, hg
 
 
@@ -24,6 +24,19 @@ def test_td_init_fin_shapes(tiny_grammar):
     assert (init.i, init.k, init.ld, init.rd, init.m, init.j) == (-1, -1, 0, 1, 0, 3)
     assert (fin.ld, fin.rd, fin.m, fin.j) == (0, 2, 3, 3)
     assert init.rule == fin.rule == aug.start_rule_id
+
+
+def test_items_lay_their_state_out_between_the_spans(tiny_grammar):
+    # td's, hc's, phi's and ehi's shared clauses read an item as
+    # (i, k, *state, m, j): a field inserted into an item class fails here
+    # by name, not through a wrong step
+    for item in (Dotted, SetInfix):
+        assert item._fields[:2] == ("i", "k") and item._fields[-2:] == ("m", "j")
+    aug = augment(tiny_grammar)
+    dotted = (aug.start_rule_id, 0, 1)
+    infix = (frozenset({aug.start_prime}), (aug.bottom,))
+    for name, state in (("td", dotted), ("hc", dotted), ("phi", infix), ("ehi", infix)):
+        assert FLAT_BUILDERS[name](aug).make_init(3)[2:-2] == state
 
 
 @pytest.mark.parametrize("name", ["td", "hc", "phi", "ehi", "hi"])
