@@ -257,7 +257,7 @@ def test_clauses_read_only_their_window():
     # none of them; every step pops items of the window and pushes one,
     # popping no more than the recognizer allows, and its clause still
     # yields it on the items it pops and the one below them, all that
-    # `replay` hands it
+    # `replay` hands it; no step is planned twice for one stack
     deepest = {}
     popped_most = {}
     checked = 0
@@ -273,6 +273,7 @@ def test_clauses_read_only_their_window():
                 planned = [clause.label for _, clauses in groups for clause in clauses]
                 assert planned == sorted(planned, key=order.index)
                 steps = _steps(automaton.clauses, stack, tokens)
+                assert len(set(steps)) == len(steps)
                 assert [step for window, clauses in groups
                         for step in _steps(clauses, window, tokens)] == steps
                 reach = _reach(automaton, stack[-1])
