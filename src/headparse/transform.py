@@ -209,28 +209,20 @@ def tau_two(g: HeadGrammar) -> HeadGrammar:
     def seq_symbol(seq):
         return "[%s]" % " ".join(seq)
 
-    suffixes = {}  # ordered set of proper suffixes still to process
+    worklist, seen = [], set()  # proper suffixes, in first-seen order
 
     def shorten(lhs, seq):
         if len(seq) == 1:
             return HeadRule(lhs, (seq[0],), 0)
         rest = seq[1:]
-        if rest not in suffixes:
-            suffixes[rest] = None
+        if rest not in seen:
+            seen.add(rest)
+            worklist.append(rest)
         return HeadRule(lhs, (seq[0], seq_symbol(rest)), 0)
 
     rules = [shorten(r.lhs, tuple(r.rhs)) for r in g.rules]
-    worklist = list(suffixes)
-    seen = set(worklist)
-    idx = 0
-    while idx < len(worklist):
-        seq = worklist[idx]
-        idx += 1
+    for seq in worklist:  # grows as shorten meets new suffixes
         rules.append(shorten(seq_symbol(seq), seq))
-        rest = seq[1:]
-        if len(seq) >= 2 and rest not in seen:
-            seen.add(rest)
-            worklist.append(rest)
     return HeadGrammar(rules, g.start)
 
 
