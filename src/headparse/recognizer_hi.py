@@ -1,8 +1,10 @@
 """Head-inward recognizer over plain head grammars.
 
-Stack symbols carry a *set* of double-dotted rules sharing one recognized
-span, so alternatives stay merged until the grammar forces them apart,
-the same way an LR state merges items.  Scanning an adjacent terminal and
+Stack symbols carry a *set* of the dotted rules `(rule, ld, rd)` that td
+and hc push one at a time, sharing one recognized span, so alternatives
+stay merged until the grammar forces them apart, the same way an LR state
+merges items; the moves of a dotted rule and the head-corner gate are read
+through `recognizers_basic`'s helpers.  Scanning an adjacent terminal and
 starting a fresh rule whose leftmost member is that terminal (and also its
 head) happen in one step; the gate for the fresh rules is the left
 head-corner relation, the restriction of the head-corner relation to rules
@@ -24,6 +26,7 @@ from typing import NamedTuple
 
 from .engine import Automaton, Clause, positions
 from .grammar import FULL, LEFT, RIGHT, AugmentedGrammar, head_corner
+from .recognizers_basic import _dotted_text, _finished, _gated, _moved, _next_to
 
 
 class HiItem(NamedTuple):
@@ -46,16 +49,8 @@ def compute_relations(aug: AugmentedGrammar) -> Relations:
 
 
 def _pending(aug, q, rightward):
-    """Symbols adjacent to the dotted region of any element of q."""
-    out = set()
-    for rid, ld, rd in q:
-        rhs = aug.rules[rid].rhs
-        if rightward:
-            if rd < len(rhs):
-                out.add(rhs[rd])
-        elif ld > 0:
-            out.add(rhs[ld - 1])
-    return out
+    """The nonterminals next to the dotted region of some element of q."""
+    return {_next_to(aug, state, rightward) for state in q} & aug.nonterminals
 
 
 def _make_goto1(rightward):
@@ -63,15 +58,8 @@ def _make_goto1(rightward):
         """Rules with head `x`, startable next to a pending nonterminal of
         some element of `q` on this side (full head-corner gate); dots
         placed around the head."""
-        pend = _pending(aug, q, rightward) & aug.nonterminals
-        if not pend:
-            return frozenset()
-        out = set()
-        for rid in aug.rules_with_head.get(x, ()):
-            r = aug.rules[rid]
-            if any((r.lhs, b) in rels.full for b in pend):
-                out.add((rid, r.head, r.head + 1))
-        return frozenset(out)
+        return frozenset(_gated(aug, aug.rules_with_head.get(x, ()), rels.full,
+                                _pending(aug, q, rightward)))
     return goto1
 
 
@@ -80,23 +68,13 @@ def _make_goto2(rightward):
         """The dots of `q` move outward over `x` on this side, plus fresh
         rules whose outermost member on this side is `x` and also the head
         (left head-corner gate going right, right one going left)."""
-        out = set()
-        pend = _pending(aug, q, rightward) & aug.nonterminals
-        if pend:
-            gate = rels.left if rightward else rels.right
-            for rid in aug.rules_with_head.get(x, ()):
-                r = aug.rules[rid]
-                edge = 0 if rightward else len(r.rhs) - 1
-                if r.head == edge and any((r.lhs, b) in gate for b in pend):
-                    out.add((rid, r.head, r.head + 1))
-        for rid, ld, rd in q:
-            rhs = aug.rules[rid].rhs
-            if rightward:
-                if rd < len(rhs) and rhs[rd] == x:
-                    out.add((rid, ld, rd + 1))
-            elif ld > 0 and rhs[ld - 1] == x:
-                out.add((rid, ld - 1, rd))
-        return frozenset(out)
+        rules = aug.rules
+        edge = [rid for rid in aug.rules_with_head.get(x, ())
+                if rules[rid].head == (0 if rightward else len(rules[rid].rhs) - 1)]
+        fresh = _gated(aug, edge, rels.left if rightward else rels.right,
+                       _pending(aug, q, rightward))
+        return frozenset(fresh).union(_moved(state, rightward) for state in q
+                                      if _next_to(aug, state, rightward) == x)
     return goto2
 
 
@@ -109,8 +87,6 @@ gotoleft2 = _make_goto2(False)
 def _render_hi(aug):
     """hi items; the element list is memoised per set `q`, so an item costs
     one format."""
-    from .recognizers_basic import _dotted_text
-
     @cache
     def elements(q):
         return ", ".join(_dotted_text(aug, *element) for element in sorted(q))
@@ -122,14 +98,7 @@ def _render_hi(aug):
 
 def build_hi(aug: AugmentedGrammar) -> Automaton:
     rels = compute_relations(aug)
-    rules = aug.rules
     nts = aug.nonterminals
-
-    @cache
-    def finished(q):
-        """(rule id, size) of the finished rules in `q`, by rule id."""
-        return tuple(sorted((rid, rd) for rid, ld, rd in q
-                            if ld == 0 and rd == len(rules[rid].rhs)))
 
     def transition(goto):
         # With the grammar fixed a goto is a function of (state, symbol)
@@ -215,19 +184,22 @@ def build_hi(aug: AugmentedGrammar) -> Automaton:
 
     @cache
     def reduced(q):
-        """(size, left-hand side) of the finished rules in `q`, by rule id."""
-        return tuple((size, rules[rid].lhs) for rid, size in finished(q))
+        """The distinct (size, left-hand side) of the finished rules in `q`,
+        by rule id."""
+        found = ((state[2], _finished(aug, state)) for state in sorted(q))
+        return tuple(dict.fromkeys(pair for pair in found if pair[1] is not None))
 
     def reduce_side(rightward, advance):
         """A finished rule on top pops its members and passes its left-hand
         side to a goto of the context item below them: the fresh-head goto
         when the rule's span lies beyond the context's (3a/3b), the
-        advancing goto when it starts at an edge of the context's (4a/4b)."""
+        advancing goto when it starts at an edge of the context's (4a/4b).
+        The gotos of two symbols are disjoint, so distinct pairs of
+        `reduced` yield distinct steps."""
         goto = (goto2 if advance else goto1)[rightward]
 
         def matcher(stack, tokens):
             i, k, q, m, j = stack[-1]
-            emitted = None
             for size, lhs in reduced(q):
                 if len(stack) <= size:
                     continue
@@ -249,12 +221,7 @@ def build_hi(aug: AugmentedGrammar) -> Automaton:
                 else:
                     assert context.i == i
                     new = HiItem(i, k, q2, context.m, context.j)
-                if emitted is None:
-                    emitted = set()
-                key = (size, new)
-                if key not in emitted:
-                    emitted.add(key)
-                    yield size, new, None
+                yield size, new, None
         return matcher
 
     clauses = (
@@ -279,11 +246,11 @@ def build_hi(aug: AugmentedGrammar) -> Automaton:
         alone = tuple(label for label, fires in (
             ("1a", right > 1 and heads_right), ("1b", left > 1 and heads_left),
             ("2a", right and scans_right), ("2b", left and scans_left)) if fires)
-        size = max((size for _, size in finished(q)), default=0)
+        size = max((size for size, _ in reduced(q)), default=0)
         return alone, (1 + size, ("3a", "3b", "4a", "4b"), None) if size else None
 
     return Automaton("hi", clauses, make_init, make_fin, _render_hi(aug),
-                     (len(rules), len(aug.nonterminals)),
+                     (len(aug.rules), len(nts)),
                      make_accepting=make_accepting,
                      plan=lambda top: plan_of(top.q, min(top.j - top.m, 2),
                                               min(top.k - top.i, 2)))

@@ -256,25 +256,44 @@ def _head_states(aug, rids):
     return tuple((rid, aug.rules[rid].head, aug.rules[rid].head + 1) for rid in rids)
 
 
+def _gated(aug, rids, pairs, targets):
+    """The head states of the rules `rids` whose left-hand side is a head
+    corner, by `pairs`, of one of `targets`."""
+    return _head_states(aug, [rid for rid in rids
+                              if any((aug.rules[rid].lhs, b) in pairs for b in targets)])
+
+
+def _next_to(aug, state, rightward):
+    """The member of the dotted state's rule next to the recognized stretch
+    on this side, or None."""
+    rule, ld, rd = state
+    rhs = aug.rules[rule].rhs
+    if rightward:
+        return rhs[rd] if rd < len(rhs) else None
+    return rhs[ld - 1] if ld > 0 else None
+
+
+def _moved(state, rightward):
+    """The dotted state with the recognized stretch one member wider."""
+    rule, ld, rd = state
+    return (rule, ld, rd + 1) if rightward else (rule, ld - 1, rd)
+
+
+def _finished(aug, state):
+    """The left-hand side of the dotted state's rule when all of it is
+    recognized, else None."""
+    rule, ld, rd = state
+    r = aug.rules[rule]
+    return r.lhs if ld == 0 and rd == len(r.rhs) else None
+
+
 def _dotted_tables(aug):
     """td's and hc's tables over dotted states (rule, ld, rd): `pending`
     gives the nonterminal pending on a side, and `done` a finished rule's
     left-hand side, each None where there is none."""
     nts = aug.nonterminals
-
-    def next_to(state, rightward):
-        """The member of the state's rule next to the recognized stretch
-        on this side, or None."""
-        rule, ld, rd = state
-        rhs = aug.rules[rule].rhs
-        if rightward:
-            return rhs[rd] if rd < len(rhs) else None
-        return rhs[ld - 1] if ld > 0 else None
-
-    def moved(state, rightward):
-        """The state with the recognized stretch one member wider."""
-        rule, ld, rd = state
-        return (rule, ld, rd + 1) if rightward else (rule, ld - 1, rd)
+    next_to = partial(_next_to, aug)
+    done = cache(partial(_finished, aug))
 
     @cache
     def pending(state, rightward):
@@ -285,24 +304,18 @@ def _dotted_tables(aug):
     def scanned(state, a, rightward):
         if a in nts or next_to(state, rightward) != a:
             return None
-        return moved(state, rightward)
+        return _moved(state, rightward)
 
     @cache
     def attaches(top, below, rightward):
         lhs = done(top)
         if lhs is None or pending(below, rightward) != lhs:
             return ()
-        return (moved(below, rightward),)
+        return (_moved(below, rightward),)
 
     def scans(state, rightward):
         sym = next_to(state, rightward)
         return sym is not None and sym not in nts
-
-    @cache
-    def done(state):
-        rule, ld, rd = state
-        r = aug.rules[rule]
-        return r.lhs if ld == 0 and rd == len(r.rhs) else None
 
     return pending, scanned, attaches, scans, done
 
@@ -437,8 +450,7 @@ def build_hc(aug: AugmentedGrammar) -> Automaton:
     def fresh(b, a):
         """The head states of the rules headed by `a` whose left-hand side
         is a head corner of `b`."""
-        return _head_states(aug, [rid for rid in t_heads.get(a, ())
-                                  if (aug.rules[rid].lhs, b) in pairs])
+        return _gated(aug, t_heads.get(a, ()), pairs, (b,))
 
     @cache
     def heads_for(b):
@@ -462,8 +474,7 @@ def build_hc(aug: AugmentedGrammar) -> Automaton:
         wanted = pending(below, rightward)
         if b is None or wanted is None:
             return None
-        return _head_states(aug, [rid for rid in nt_heads.get(b, ())
-                                  if (aug.rules[rid].lhs, wanted) in pairs])
+        return _gated(aug, nt_heads.get(b, ()), pairs, (wanted,))
 
     clauses, plan = _clause_set(Dotted, predicted, fresh, scanned, climbs,
                                 attaches, scans, done)

@@ -8,9 +8,7 @@ import importlib
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
-import headparse
 from headparse import augment, build_ghi, engine, run
 from headparse.corpus import (all_inputs, eligible, gen_eligible,
                               gen_grammar_corpus, head_grammar_corpus)
@@ -19,13 +17,13 @@ from conftest import FLAT_BUILDERS, counting_copy
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _tracer_class():
+def _perfbench(module):
+    """A module of the harness, imported as its scripts import each other."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     try:
-        from tracer import Tracer
+        return importlib.import_module(module)
     finally:
         sys.path.remove(str(ROOT / "perfbench"))
-    return Tracer
 
 
 def test_perfbench_selftest_passes():
@@ -38,7 +36,7 @@ def test_perfbench_selftest_passes():
 def test_traced_matchers_run_as_often_as_untraced_ones():
     # the tracer copies each clause as a bare Clause(label, timed matcher);
     # the copy runs its matchers exactly as often as the original does
-    Tracer = _tracer_class()
+    Tracer = _perfbench("tracer").Tracer
     cases = [(name, builder(augment(g)))
              for g in head_grammar_corpus(6, seed=805)
              for name, builder in FLAT_BUILDERS.items()
@@ -62,15 +60,11 @@ def test_traced_layers_see_the_gotos_and_set_operations():
     # the tracer counts hi's gotos and ghi's set operations by rebinding
     # the module-level functions; builders that stopped calling those would
     # report 0 calls for their layers without any other error
-    modules = [importlib.import_module("headparse." + name)
-               for name in ("engine", "grammar", "transform", "oracle", "corpus",
-                            "recognizers_basic", "recognizer_hi", "recognizer_ghi")]
-    lib = SimpleNamespace(**{m.__name__.split(".")[-1]: m for m in modules},
-                          all_modules=lambda: [headparse] + modules)
+    lib = _perfbench("run").Lib()
     head = next(g for g in head_grammar_corpus(6, seed=805) if eligible(augment(g), "hi"))
     gen = next(g for g in gen_grammar_corpus(4, seed=806) if gen_eligible(g))
     original = lib.recognizer_hi.gotoright1
-    tracer = _tracer_class()()
+    tracer = _perfbench("tracer").Tracer()
     tracer.install(lib)
     try:
         # built after `install`, so they capture the rebound functions
