@@ -16,12 +16,11 @@ Every clause reads at most the top few items of a stack, its *window*.
 As an LR table lists for each state only the actions it can take, the
 automaton's `plan(top)` names the clauses that can find a step when `top`
 is the top item, in up to two groups: those that read the top alone, and
-on a finished top those that read its window, perhaps guarded by the
-item below.  The others find nothing there, so the steps of a stack are
-a function of its top, its window and the input.  A run interns each item
-it pushes once, as a *node* that holds the item and its plan, and records
-the first group's steps once per node and the second's once per window,
-keyed by its nodes.  A stack takes its node's steps, then its window's,
+on a finished top those that read its window.  The others find nothing
+there, so the steps of a stack are a function of its top, its window and
+the input.  A run interns each item it pushes once, as a *node* that
+holds the item and its plan, and records the first group's steps once
+per node and the second's once per window, keyed by its nodes.  A stack takes its node's steps, then its window's,
 so every stack with that top and window replays the same steps in the
 same order; a step carries the node it pushes and hashes no item.  Steps
 are recorded as the search pulls them and stored only once all are
@@ -98,8 +97,8 @@ class Clause:
     step read, or None.  `window` is the top items of the stack that
     `Automaton.plan` sizes (fewer on a shorter stack), and a matcher reads
     nothing else.  A matcher checks everything it needs itself: a clause
-    the plan or its guard leaves out finds nothing there, so running every
-    clause on the whole stack finds the same steps.
+    the plan leaves out finds nothing there, so running every clause on
+    the whole stack finds the same steps.
 
     Steps keep the pushdown contract (Lang 1974): a step reads at most the
     items it pops and the one below them, the top alone for a push, so the
@@ -134,10 +133,9 @@ class Automaton:
     collapse_rows: Optional[Callable] = None
     # `plan(top) -> (alone, window)` names, in `clauses` order, the clauses
     # that can find a step when `top` is the top item: `alone` those that
-    # read the top alone, and `window` None or (reach, labels, guard) for
-    # those that read the top `reach` items, where `guard` is None or maps
-    # the item below the top to the labels that can fire over it.  Alone
-    # clauses come first in `clauses`.  Every builder states its own rule.
+    # read the top alone, and `window` None or (reach, labels) for those
+    # that read the top `reach` items.  Alone clauses come first in
+    # `clauses`.  Every builder states its own rule.
     # Labels, not clauses, so a copy with wrapped matchers runs its own.
     plan: Callable = field(kw_only=True)
     _named: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -287,9 +285,9 @@ def run(automaton: Automaton, tokens, *, max_steps: int = 1_000_000,
     # node k is the k-th distinct item pushed: items[k]; its cells tops[k],
     # keyed by id(cell below); and its table entry entries[k]: its finished
     # steps when it plans no window group, else (alone clauses, reach,
-    # window clauses, guard) once planned, and None until then; `steps`
-    # keys the finished steps of such a node by the node, and those of a
-    # window by its nodes
+    # window clauses) once planned, and None until then; `steps` keys the
+    # finished steps of such a node by the node, and those of a window by
+    # its nodes
     nodes = {}  # item -> node
     items, entries, tops = [], [], []
     steps = {}
@@ -314,9 +312,9 @@ def run(automaton: Automaton, tokens, *, max_steps: int = 1_000_000,
             if window is None:
                 return _recorded(named(alone), (items[node],), tokens, intern,
                                  entries, node)
-            reach, labels, guard = window
-            entry = entries[node] = (named(alone), reach, named(labels), guard)
-        alone, reach, clauses, guard = entry
+            reach, labels = window
+            entry = entries[node] = (named(alone), reach, named(labels))
+        alone, reach, clauses = entry
         if alone:
             alone = steps.get(node)
             if alone is None:
@@ -328,10 +326,8 @@ def run(automaton: Automaton, tokens, *, max_steps: int = 1_000_000,
             key = (cell[1],) + key
         found = steps.get(key)
         if found is None:
-            window = tuple(map(items.__getitem__, key))
-            if guard is not None and len(key) > 1:
-                clauses = named(guard(window[-2]))
-            found = _recorded(clauses, window, tokens, intern, steps, key)
+            found = _recorded(clauses, tuple(map(items.__getitem__, key)),
+                              tokens, intern, steps, key)
         if not alone:
             return found or None
         return chain(alone, found) if found else alone

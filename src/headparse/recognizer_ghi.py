@@ -342,19 +342,14 @@ def build_ghi(g: GenHeadGrammar) -> Automaton:
         return tuple(empty + [label for rightward, room, _, label in sides
                               if room and heads(q, rightward)]), None
 
-    def attach_plan(labels):
-        guards = {FullItem: labels[:2], RightOpenItem: labels[2:3],
-                  LeftOpenItem: labels[3:], DoneItem: ()}
-        return (), (2, labels, lambda below: guards[type(below)])
-
-    done_plans = {Tree: attach_plan(("4a", "4b", "5a", "5b")),
-                  GenHeadRule: attach_plan(("6a", "6b", "7a", "7b"))}
+    done_plans = {Tree: ((), (2, ("4a", "4b", "5a", "5b"))),
+                  GenHeadRule: ((), (2, ("6a", "6b", "7a", "7b")))}
 
     def plan(top):
         """Read off the early exits: each matcher takes one type of top.
         1a..1d need a member with no subtree on their side, 2a..3b a
         terminal heading that side's set and input there.  A done item's
-        attachments read the item below it, each over one shape."""
+        attachments each check the shape of the item below it themselves."""
         shape = type(top)
         if shape is DoneItem:
             return done_plans[type(top.t)]

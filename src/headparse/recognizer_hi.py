@@ -1,14 +1,17 @@
 """Head-inward recognizer over plain head grammars.
 
 Stack symbols carry a *set* of the dotted rules `(rule, ld, rd)` that td
-and hc push one at a time, sharing one recognized span, so alternatives
-stay merged until the grammar forces them apart, the same way an LR state
-merges items; the moves of a dotted rule and the head-corner gate are read
-through `recognizers_basic`'s helpers.  Scanning an adjacent terminal and
-starting a fresh rule whose leftmost member is that terminal (and also its
-head) happen in one step; the gate for the fresh rules is the left
-head-corner relation, the restriction of the head-corner relation to rules
-whose head is leftmost (mirrored on the other side).
+and hc push one at a time, so alternatives stay merged until the grammar
+forces them apart, the same way an LR state merges items; the moves of a
+dotted rule and the head-corner gate are read through
+`recognizers_basic`'s helpers.  A set's rules share the item's outer
+span `(k, m]`, but the fresh rules that 2a/2b and 4a/4b add derive only
+the end they extend, so often no element spans it.  Scanning an adjacent
+terminal and starting a fresh rule whose leftmost member is that
+terminal (and also its head) happen in one step; the gate for the fresh
+rules is the left head-corner relation, the restriction of the
+head-corner relation to rules whose head is leftmost (mirrored on the
+other side).
 
 The clauses never pop the item they extend: a new item is pushed on top
 (pop 0), one per recognized member, and a reduction with an r-member rule
@@ -247,7 +250,7 @@ def build_hi(aug: AugmentedGrammar) -> Automaton:
             ("1a", right > 1 and heads_right), ("1b", left > 1 and heads_left),
             ("2a", right and scans_right), ("2b", left and scans_left)) if fires)
         size = max((size for size, _ in reduced(q)), default=0)
-        return alone, (1 + size, ("3a", "3b", "4a", "4b"), None) if size else None
+        return alone, (1 + size, ("3a", "3b", "4a", "4b")) if size else None
 
     return Automaton("hi", clauses, make_init, make_fin, _render_hi(aug),
                      (len(aug.rules), len(nts)),

@@ -217,7 +217,7 @@ def _plan(predicts, finished, predicted, scans, done):
     clause in `predicts` needs something `predicted`, and 2a/2b a terminal
     to scan.  Only on a finished state can `finished` (attaching a head or
     a member) fire, reading the item below it."""
-    window = (2, finished, None)
+    window = (2, finished)
 
     @cache
     def plan_of(state, right, left):

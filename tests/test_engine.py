@@ -232,15 +232,11 @@ def _steps(clauses, stack, tokens):
 def _groups(automaton, stack):
     """The stack's planned groups, in order, as (window, clauses): the
     clauses that read the top alone on the top, then those of the window
-    group, guarded by the item below, on the top `reach` items."""
+    group on the top `reach` items."""
     alone, window = automaton.plan(stack[-1])
     groups = [(stack[-1:], automaton.named(alone))]
     if window is not None:
-        reach, labels, guard = window
-        if guard is not None and len(stack) > 1:
-            guarded = guard(stack[-2])
-            assert set(guarded) <= set(labels)
-            labels = guarded
+        reach, labels = window
         groups.append((stack[-reach:], automaton.named(labels)))
     return groups
 
@@ -253,11 +249,11 @@ def _reach(automaton, top):
 def test_clauses_read_only_their_window():
     # the planned groups on their windows yield exactly the steps that all
     # clauses yield on the whole stack, which is what lets one run share
-    # them between stacks: the clauses a plan or its guard leaves out find
-    # none of them; every step pops items of the window and pushes one,
-    # popping no more than the recognizer allows, and its clause still
-    # yields it on the items it pops and the one below them, all that
-    # `replay` hands it; no step is planned twice for one stack
+    # them between stacks: the clauses a plan leaves out find none of
+    # them; every step pops items of the window and pushes one, popping no
+    # more than the recognizer allows, and its clause still yields it on
+    # the items it pops and the one below them, all that `replay` hands
+    # it; no step is planned twice for one stack
     deepest = {}
     popped_most = {}
     checked = 0
@@ -314,7 +310,7 @@ def test_matchers_run_only_as_planned():
             assert all(count == 1 for count in Counter(calls).values())
             totals[automaton.name] += len(calls)
     assert totals == {"td": 229, "hc": 1_293, "phi": 1_193, "ehi": 1_193,
-                      "hi": 1_278, "ghi": 1_451}
+                      "hi": 1_278, "ghi": 2_121}
 
 
 def _counted_run(automaton, tokens):
@@ -494,7 +490,7 @@ def _echo_automaton():
             yield 2, "Z", None
 
     plans = {"I": (("i",), None), "Y": (("y",), None),
-             "X": (("x",), (2, ("fold",), None))}
+             "X": (("x",), (2, ("fold",)))}
     return Automaton(
         "echo", (Clause("i", _push("I", "Y")), Clause("y", _push("Y", "X")),
                  Clause("x", _push("X", "Y")), Clause("fold", fold)),
@@ -517,7 +513,7 @@ def _peeking_automaton(reads):
             yield 3, "F", None
 
     plans = {"I": (("i",), None), "A": (("a",), None),
-             "B": ((), (3, ("peek",), None)), "C": ((), (3, ("fold",), None))}
+             "B": ((), (3, ("peek",))), "C": ((), (3, ("fold",)))}
     return Automaton(
         "peek", (Clause("i", _push("I", "A")), Clause("a", _push("A", "B")),
                  Clause("peek", peek), Clause("fold", fold)),

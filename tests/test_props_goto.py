@@ -55,39 +55,6 @@ def test_side_sets_close_collected_subtrees(gq):
         assert side_set(g, q) == closure(g, frozenset(collected))
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10_000), st.sampled_from(["a", "b"]))
-def test_hi_goto1_returns_head_dotted_rules(seed, sym):
-    g = random_head_grammar(random.Random(seed))
-    aug = augment(g)
-    rels = compute_relations(aug)
-    q = frozenset({(aug.start_rule_id, 0, 1)})
-    for element in gotoright1(aug, rels, q, sym):
-        rid, ld, rd = element
-        rule = aug.rules[rid]
-        assert (ld, rd) == (rule.head, rule.head + 1)
-        assert rule.head_symbol == sym
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10_000), st.sampled_from(["a", "b"]))
-def test_hi_goto2_advances_have_preimages(seed, sym):
-    g = random_head_grammar(random.Random(seed))
-    aug = augment(g)
-    rels = compute_relations(aug)
-    q = frozenset({(rid, r.head, r.head + 1) for rid, r in enumerate(aug.rules)})
-    for rid, ld, rd in gotoright2(aug, rels, q, sym):
-        rule = aug.rules[rid]
-        if (ld, rd) != (rule.head, rule.head + 1):
-            assert (rid, ld, rd - 1) in q
-            assert rule.rhs[rd - 1] == sym
-    for rid, ld, rd in gotoleft2(aug, rels, q, sym):
-        rule = aug.rules[rid]
-        if (ld, rd) != (rule.head, rule.head + 1):
-            assert (rid, ld + 1, rd) in q
-            assert rule.rhs[ld] == sym
-
-
 def _reference_gotos(aug, q, x):
     """hi's four gotos of `q` over `x`, worked out from the rule list and
     `head_corner` alone: {(name, ...): set of dotted states}."""

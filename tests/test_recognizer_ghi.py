@@ -212,10 +212,12 @@ BELOW_SHAPES = {"4a": FullItem, "4b": FullItem, "6a": FullItem, "6b": FullItem,
                 "5b": LeftOpenItem, "7b": LeftOpenItem}
 
 
-def test_attachments_see_only_their_below_shape():
-    # the plan's guard on the item below a done top runs 4a..7b only over
-    # the shape each reads, across the acceptance gate's tree corpus
-    seen = {}
+def test_attachments_fire_only_over_their_below_shape():
+    # a done top plans all four of its attachments, so each must find
+    # nothing unless the item below has the shape it extends; across the
+    # acceptance gate's tree corpus every call over another shape, or over
+    # no item, yields nothing, and every attachment fires somewhere
+    fired = set()
     wrong = []
 
     def checked(clause):
@@ -224,18 +226,20 @@ def test_attachments_see_only_their_below_shape():
             return clause
 
         def matcher(window, tokens):
-            seen[clause.label] = seen.get(clause.label, 0) + 1
-            if len(window) > 1 and type(window[-2]) is not shape:
-                wrong.append((clause.label, window[-2]))
-            return clause.matcher(window, tokens)
+            steps = list(clause.matcher(window, tokens))
+            if steps:
+                fired.add(clause.label)
+                if len(window) < 2 or type(window[-2]) is not shape:
+                    wrong.append((clause.label, window))
+            return iter(steps)
         return dataclasses.replace(clause, matcher=matcher)
 
     inputs = all_inputs(("a", "b"), 5)
     for g in gen_grammar_corpus(100, seed=27182):
         automaton = build_ghi(g)
-        guarded = dataclasses.replace(
+        checking = dataclasses.replace(
             automaton, clauses=tuple(map(checked, automaton.clauses)))
         for tokens in inputs:
-            run(guarded, tokens, max_steps=200_000)
+            run(checking, tokens, max_steps=200_000)
     assert wrong == []
-    assert set(seen) == set(BELOW_SHAPES)
+    assert fired == set(BELOW_SHAPES)
