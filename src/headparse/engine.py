@@ -18,20 +18,21 @@ automaton's `plan(top)` names the clauses that can find a step when `top`
 is the top item, in up to two groups: those that read the top alone, and
 on a finished top those that read its window.  The others find nothing
 there, so the steps of a stack are a function of its top, its window and
-the input.  A run interns each item it pushes once, as a *node* that
-holds the item and its plan, and records the first group's steps once
-per node and the second's once per window, keyed by its nodes.  A stack takes its node's steps, then its window's,
+the input.  A run keeps them in one *step table*, which interns each item
+pushed once, as a *node* that holds the item and its plan, and records
+the first group's steps once per node and the second's once per window,
+keyed by its nodes.  A stack takes its node's steps, then its window's,
 so every stack with that top and window replays the same steps in the
 same order; a step carries the node it pushes and hashes no item.  Steps
 are recorded as the search pulls them and stored only once all are
 pulled, so a search that accepts early never computes steps it does not
-take, and a table holds nothing but finished lists.  A stack that
+take, and the table holds nothing but finished lists.  A stack that
 reaches a top or window whose list is not finished yet, which only a
 stack above the one recording it can, records its own; so td, whose
 goals push equal goals on a head-recursive grammar, runs some matchers
-more than once per top or window.  The tables live for one run; they
-are the transition relation of the automaton on that input, restricted
-to what the search reached.
+more than once per top or window.  The table lives for one run; it is
+the transition relation of the automaton on that input, restricted to
+what the search reached.
 
 A stack is one *cell*, (the cell below, the top node, the depth), so
 stacks share their lower parts as in Tomita's graph-structured stack
@@ -70,6 +71,7 @@ from __future__ import annotations
 
 import gc
 from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache, wraps
@@ -248,19 +250,50 @@ def _collector_paused(function):
     return paused
 
 
-def _recorded(clauses, window, tokens, intern, table, key):
-    """The window's steps, each with its item's node and its consulted
-    position as a bit, yielded as they are pulled and stored as
-    `table[key]` once all are."""
-    steps = []
-    for clause in clauses:
-        label = clause.label
-        for popped, item, consulted in clause.matcher(window, tokens):
-            step = (label, popped, intern(item),
-                    0 if consulted is None else 1 << consulted)
-            steps.append(step)
-            yield step
-    table[key] = steps
+class _StepTable:
+    """A run's step table: node k is the k-th distinct item, `items[k]`,
+    and `nodes[items[k]]` is k; `entries[k]` is its finished steps when it
+    plans no window group, else (alone clauses, reach, window clauses) once
+    planned, and None until then; `steps` keys the finished steps of such a
+    node by the node, and those of a window by its nodes."""
+
+    def __init__(self, automaton, tokens):
+        self.plan, self.named, self.tokens = automaton.plan, automaton.named, tokens
+        self.nodes, self.items, self.entries, self.steps = {}, [], [], {}
+
+    def intern(self, item):
+        node = self.nodes.get(item)
+        if node is None:
+            node = self.nodes[item] = len(self.items)
+            self.items.append(item)
+            self.entries.append(None)
+        return node
+
+    def planned(self, node):
+        """The node's entry, planned now: a tuple, or the recording of its
+        steps when it plans no window group."""
+        alone, window = self.plan(self.items[node])
+        if window is None:
+            return self.recorded(self.named(alone), node, self.entries)
+        reach, labels = window
+        entry = self.entries[node] = (self.named(alone), reach, self.named(labels))
+        return entry
+
+    def recorded(self, clauses, key, store):
+        """The steps `clauses` find on the items of `key`, a node or a tuple
+        of nodes, each with its item's node and its consulted position as a
+        bit, yielded as pulled and stored as `store[key]` once all are."""
+        items, intern, tokens = self.items, self.intern, self.tokens
+        window = (items[key],) if type(key) is int else tuple(map(items.__getitem__, key))
+        steps = []
+        for clause in clauses:
+            label = clause.label
+            for popped, item, consulted in clause.matcher(window, tokens):
+                step = (label, popped, intern(item),
+                        0 if consulted is None else 1 << consulted)
+                steps.append(step)
+                yield step
+        store[key] = steps
 
 
 @_collector_paused
@@ -279,55 +312,31 @@ def run(automaton: Automaton, tokens, *, max_steps: int = 1_000_000,
     if max_depth is None:
         max_depth = default_max_depth(n, automaton.size_hint)
     accepting = automaton.accepting_predicate(n)
-    plan = automaton.plan
-    named = automaton.named
+    table = _StepTable(automaton, tokens)
+    planned, recorded = table.planned, table.recorded
+    items, entries, steps = table.items, table.entries, table.steps
+    tops = defaultdict(dict)  # node -> its cells, keyed by id(cell below)
 
-    # node k is the k-th distinct item pushed: items[k]; its cells tops[k],
-    # keyed by id(cell below); and its table entry entries[k]: its finished
-    # steps when it plans no window group, else (alone clauses, reach,
-    # window clauses) once planned, and None until then; `steps` keys the
-    # finished steps of such a node by the node, and those of a window by
-    # its nodes
-    nodes = {}  # item -> node
-    items, entries, tops = [], [], []
-    steps = {}
-
-    def intern(item):
-        node = nodes.get(item)
-        if node is None:
-            node = nodes[item] = len(items)
-            items.append(item)
-            entries.append(None)
-            tops.append({})
-        return node
-
-    def pull(cell):
-        """The steps of a stack whose top's entry is not a list of steps:
-        its top's, then its window's, each replayed from the tables or
-        recorded as they are pulled; None when the tables show it has none."""
+    def pull(cell, entry):
+        """The steps of a stack whose top's planned entry is `entry`: its
+        recording, or from a tuple its top's, then its window's, each
+        replayed from the table or recorded as they are pulled; None when
+        the table shows it has none."""
+        if type(entry) is not tuple:
+            return entry
         node = cell[1]
-        entry = entries[node]
-        if entry is None:
-            alone, window = plan(items[node])
-            if window is None:
-                return _recorded(named(alone), (items[node],), tokens, intern,
-                                 entries, node)
-            reach, labels = window
-            entry = entries[node] = (named(alone), reach, named(labels))
         alone, reach, clauses = entry
         if alone:
             alone = steps.get(node)
             if alone is None:
-                alone = _recorded(entry[0], (items[node],), tokens, intern,
-                                  steps, node)
+                alone = recorded(entry[0], node, steps)
         key = (node,)
         while len(key) < reach and cell[2] > 1:
             cell = cell[0]
             key = (cell[1],) + key
         found = steps.get(key)
         if found is None:
-            found = _recorded(clauses, tuple(map(items.__getitem__, key)),
-                              tokens, intern, steps, key)
+            found = recorded(clauses, key, steps)
         if not alone:
             return found or None
         return chain(alone, found) if found else alone
@@ -336,7 +345,7 @@ def run(automaton: Automaton, tokens, *, max_steps: int = 1_000_000,
     # visited set: a trace follows the first path to reach its stack
     initial = (automaton.make_init(n),)
     bottom = (None, None, 0)
-    start = (bottom, intern(initial[0]), 1)
+    start = (bottom, table.intern(initial[0]), 1)
     tops[start[1]][id(bottom)] = start
 
     explored = 1
@@ -358,7 +367,7 @@ def run(automaton: Automaton, tokens, *, max_steps: int = 1_000_000,
     # which goes on top, so the agenda is the path to its top stack; a run
     # that accepts its initial stack and need not go on has nothing to do
     agenda = [] if accepted and not exhaustive else [
-        (start, 0, iter(pull(start) or ()), None)]
+        (start, 0, iter(pull(start, planned(start[1])) or ()), None)]
     while agenda:
         stack, base, successors, _ = agenda[-1]
         for step in successors:
@@ -401,8 +410,10 @@ def run(automaton: Automaton, tokens, *, max_steps: int = 1_000_000,
                     agenda.clear()
                     break
             found = entries[node]
-            if type(found) is not list:
-                found = pull(cell)
+            if found is None:
+                found = planned(node)
+            if type(found) is tuple:
+                found = pull(cell, found)
             if found:
                 agenda.append((cell, consulted, iter(found), step))
                 break
