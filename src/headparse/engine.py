@@ -19,12 +19,14 @@ is the top item, in up to two groups: those that read the top alone, and
 on a finished top those that read its window.  The others find nothing
 there, so the steps of a stack are a function of its top, its window and
 the input.  A run keeps them in one *step table*, which interns each item
-pushed once, as a *node* that holds the item and its plan, and records
-the first group's steps once per node and the second's once per window,
-keyed by its nodes.  A stack takes its node's steps, then its window's,
-so every stack with that top and window replays the same steps in the
-same order; a step carries the node it pushes and hashes no item.  Steps
-are recorded as the search pulls them and stored only once all are
+pushed once, as a *node* that holds the item, its plan and the cells it
+tops, and records the first group's steps once per node and the second's
+once per window, keyed by its nodes.  A stack takes its node's steps,
+then its window's, so every stack with that top and window replays the
+same steps in the same order; a step carries the node it pushes and
+hashes no item.  A stack whose top has no finished list makes one call
+to the table for its steps, which plans the top first if it is fresh.
+Steps are recorded as the search pulls them and stored only once all are
 pulled, so a search that accepts early never computes steps it does not
 take, and the table holds nothing but finished lists.  A stack that
 reaches a top or window whose list is not finished yet, which only a
@@ -71,7 +73,6 @@ from __future__ import annotations
 
 import gc
 from bisect import bisect_right
-from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache, wraps
@@ -93,14 +94,14 @@ class Verdict(str, Enum):
 class Clause:
     """A labelled transition schema.
 
-    `matcher(window, tokens)` yields one ``(popped, item, consulted)`` per
-    applicable instance: a step that pops the top `popped` items (0 for a
-    push), then pushes `item`; `consulted` is the input position a scanning
-    step read, or None.  `window` is the top items of the stack that
-    `Automaton.plan` sizes (fewer on a shorter stack), and a matcher reads
-    nothing else.  A matcher checks everything it needs itself: a clause
-    the plan leaves out finds nothing there, so running every clause on
-    the whole stack finds the same steps.
+    `matcher(window, tokens)` yields, or returns as a sequence, one
+    ``(popped, item, consulted)`` per applicable instance: a step that pops
+    the top `popped` items (0 for a push), then pushes `item`; `consulted`
+    is the input position a scanning step read, or None.  `window` is the
+    top items of the stack that `Automaton.plan` sizes (fewer on a shorter
+    stack), and a matcher reads nothing else.  A matcher checks everything
+    it needs itself: a clause the plan leaves out finds nothing there, so
+    running every clause on the whole stack finds the same steps.
 
     Steps keep the pushdown contract (Lang 1974): a step reads at most the
     items it pops and the one below them, the top alone for a push, so the
@@ -169,6 +170,11 @@ class TraceStep(NamedTuple):
     label: str
     popped: int
     item: object
+
+
+# a run builds its trace's steps without the NamedTuple constructor's
+# argument handling, as the recognizers build their items
+_new = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -252,45 +258,68 @@ def _collector_paused(function):
 
 class _StepTable:
     """A run's step table: node k is the k-th distinct item, `items[k]`,
-    and `nodes[items[k]]` is k; `entries[k]` is its finished steps when it
-    plans no window group, else (alone clauses, reach, window clauses) once
-    planned, and None until then; `steps` keys the finished steps of such a
-    node by the node, and those of a window by its nodes."""
+    node 0 the initial one, and `nodes[items[k]]` is k; `tops[k]` maps the
+    identity of the cell below each stack topped by node k to that stack's
+    cell; `entries[k]` is its finished steps when it plans no window group,
+    else (alone clauses, reach, window clauses) once planned, and None
+    until then; `steps` keys the finished steps of such a node by the
+    node, and those of a window by its nodes."""
 
     def __init__(self, automaton, tokens):
         self.plan, self.named, self.tokens = automaton.plan, automaton.named, tokens
-        self.nodes, self.items, self.entries, self.steps = {}, [], [], {}
+        initial = automaton.make_init(len(tokens))
+        self.nodes, self.items, self.entries, self.tops = {initial: 0}, [initial], [None], [{}]
+        self.steps = {}
 
-    def intern(self, item):
-        node = self.nodes.get(item)
-        if node is None:
-            node = self.nodes[item] = len(self.items)
-            self.items.append(item)
-            self.entries.append(None)
-        return node
-
-    def planned(self, node):
-        """The node's entry, planned now: a tuple, or the recording of its
-        steps when it plans no window group."""
-        alone, window = self.plan(self.items[node])
-        if window is None:
-            return self.recorded(self.named(alone), node, self.entries)
-        reach, labels = window
-        entry = self.entries[node] = (self.named(alone), reach, self.named(labels))
-        return entry
+    def pull(self, cell):
+        """The steps of the stack `cell`, (cell below, top node, depth),
+        with its top node planned here if it is fresh, so a fresh node costs
+        one call: the node's recording when it plans no window group, else
+        its own steps, then its window's, each replayed from the table or
+        recorded as they are pulled; None when the table shows it has none."""
+        node = cell[1]
+        entry = self.entries[node]
+        if entry is None:
+            alone, window = self.plan(self.items[node])
+            if window is None:
+                return self.recorded(self.named(alone), node, self.entries)
+            reach, labels = window
+            entry = self.entries[node] = (self.named(alone), reach, self.named(labels))
+        alone, reach, clauses = entry
+        steps = self.steps
+        if alone:
+            found = steps.get(node)
+            alone = self.recorded(alone, node, steps) if found is None else found
+        key = (node,)
+        while len(key) < reach and cell[2] > 1:
+            cell = cell[0]
+            key = (cell[1],) + key
+        found = steps.get(key)
+        if found is None:
+            found = self.recorded(clauses, key, steps)
+        if not alone:
+            return found or None
+        return chain(alone, found) if found else alone
 
     def recorded(self, clauses, key, store):
         """The steps `clauses` find on the items of `key`, a node or a tuple
-        of nodes, each with its item's node and its consulted position as a
-        bit, yielded as pulled and stored as `store[key]` once all are."""
-        items, intern, tokens = self.items, self.intern, self.tokens
+        of nodes, each with its item's node, a new one for an item not seen
+        before, and its consulted position as a bit, yielded as pulled and
+        stored as `store[key]` once all are."""
+        items, nodes, tokens = self.items, self.nodes, self.tokens
+        entries, tops = self.entries, self.tops
         window = (items[key],) if type(key) is int else tuple(map(items.__getitem__, key))
         steps = []
         for clause in clauses:
             label = clause.label
             for popped, item, consulted in clause.matcher(window, tokens):
-                step = (label, popped, intern(item),
-                        0 if consulted is None else 1 << consulted)
+                node = nodes.get(item)
+                if node is None:
+                    node = nodes[item] = len(items)
+                    items.append(item)
+                    entries.append(None)
+                    tops.append({})
+                step = (label, popped, node, 0 if consulted is None else 1 << consulted)
                 steps.append(step)
                 yield step
         store[key] = steps
@@ -313,40 +342,14 @@ def run(automaton: Automaton, tokens, *, max_steps: int = 1_000_000,
         max_depth = default_max_depth(n, automaton.size_hint)
     accepting = automaton.accepting_predicate(n)
     table = _StepTable(automaton, tokens)
-    planned, recorded = table.planned, table.recorded
-    items, entries, steps = table.items, table.entries, table.steps
-    tops = defaultdict(dict)  # node -> its cells, keyed by id(cell below)
-
-    def pull(cell, entry):
-        """The steps of a stack whose top's planned entry is `entry`: its
-        recording, or from a tuple its top's, then its window's, each
-        replayed from the table or recorded as they are pulled; None when
-        the table shows it has none."""
-        if type(entry) is not tuple:
-            return entry
-        node = cell[1]
-        alone, reach, clauses = entry
-        if alone:
-            alone = steps.get(node)
-            if alone is None:
-                alone = recorded(entry[0], node, steps)
-        key = (node,)
-        while len(key) < reach and cell[2] > 1:
-            cell = cell[0]
-            key = (cell[1],) + key
-        found = steps.get(key)
-        if found is None:
-            found = recorded(clauses, key, steps)
-        if not alone:
-            return found or None
-        return chain(alone, found) if found else alone
+    pull, items, entries, tops = table.pull, table.items, table.entries, table.tops
 
     # a stack is a cell (cell below, top node, depth), and `tops` is the
     # visited set: a trace follows the first path to reach its stack
-    initial = (automaton.make_init(n),)
+    initial = (items[0],)
     bottom = (None, None, 0)
-    start = (bottom, table.intern(initial[0]), 1)
-    tops[start[1]][id(bottom)] = start
+    start = (bottom, 0, 1)
+    tops[0][id(bottom)] = start
 
     explored = 1
     applications = 0
@@ -367,7 +370,7 @@ def run(automaton: Automaton, tokens, *, max_steps: int = 1_000_000,
     # which goes on top, so the agenda is the path to its top stack; a run
     # that accepts its initial stack and need not go on has nothing to do
     agenda = [] if accepted and not exhaustive else [
-        (start, 0, iter(pull(start, planned(start[1])) or ()), None)]
+        (start, 0, iter(pull(start) or ()), None)]
     while agenda:
         stack, base, successors, _ = agenda[-1]
         for step in successors:
@@ -410,10 +413,8 @@ def run(automaton: Automaton, tokens, *, max_steps: int = 1_000_000,
                     agenda.clear()
                     break
             found = entries[node]
-            if found is None:
-                found = planned(node)
-            if type(found) is tuple:
-                found = pull(cell, found)
+            if type(found) is not list:
+                found = pull(cell)
             if found:
                 agenda.append((cell, consulted, iter(found), step))
                 break
@@ -424,8 +425,8 @@ def run(automaton: Automaton, tokens, *, max_steps: int = 1_000_000,
     if accepted:
         verdict = Verdict.ACCEPT
         final_consulted = accept_consulted
-        trace = Trace(initial, tuple(TraceStep(label, popped, items[node])
-                                     for label, popped, node, _ in path))
+        trace = Trace(initial, tuple([_new(TraceStep, (label, popped, items[node]))
+                                      for label, popped, node, _ in path]))
     else:
         verdict = Verdict.REJECT if limit_kind is None else Verdict.RESOURCE_LIMIT
         final_consulted = widest
@@ -543,8 +544,9 @@ def render_trace_text(automaton: Automaton, trace: Trace) -> str:
     pad width's low and high part, and the tail is made once per label.
     So a row costs O(1) Python-level work plus its share of the text,
     which exists once, as the join: on the 24 deep benchmark traces
-    (7,892 rows, 24 MB) about 3 µs of Python work per row against about
-    5 ms for the join (2-core VM, Python 3.11.7).
+    (7,892 rows, 23.9M characters) about 3 µs of Python work per row,
+    0.8 µs of it `render_item`, against about 5 ms for the join (2-core
+    VM, Python 3.11.7).
     """
     rows = []
     ends = [0]  # ends[d]: where the row's first d items end in its text

@@ -60,6 +60,11 @@ class DoneItem(NamedTuple):
     m: int
 
 
+# clauses build items without the NamedTuple constructor's argument
+# handling, as `recognizers_basic` does
+_new = tuple.__new__
+
+
 class YldInconsistencyError(RuntimeError):
     """Two elements of one item disagree about its derived contribution;
     only an engine bug can produce such an item."""
@@ -209,9 +214,9 @@ def build_ghi(g: GenHeadGrammar) -> Automaton:
         found, ending at `edge`."""
         if type(item) is FullItem:
             if rightward:
-                return LeftOpenItem(item.i, item.k, state, edge)
-            return RightOpenItem(edge, state, item.m, item.j)
-        return DoneItem(item.k, state, edge) if rightward else DoneItem(edge, state, item.m)
+                return _new(LeftOpenItem, (item.i, item.k, state, edge))
+            return _new(RightOpenItem, (edge, state, item.m, item.j))
+        return _new(DoneItem, (item.k, state, edge) if rightward else (edge, state, item.m))
 
     # -- 1a..1d: empty-subtree conversions ---------------------------------
 
@@ -236,26 +241,29 @@ def build_ghi(g: GenHeadGrammar) -> Automaton:
             lo, hi = (top.m, top.j) if rightward else (top.i, top.k)
             for p in positions(tokens, heads(q, rightward), lo, hi):
                 # a head heads a member, so the selection is not empty
-                yield 0, FullItem(lo, p - 1, headed(q, tokens[p - 1], rightward), p, hi), p
+                yield 0, _new(FullItem, (lo, p - 1, headed(q, tokens[p - 1], rightward), p, hi)), p
         return Clause(label, matcher)
+
+    # A done top plans all four of its attachments, and each tests the
+    # shape of the item below first, so a call over another shape returns
+    # () and makes no generator; where one fires it returns a list.
 
     # -- 4/5: attach a completed subtree -----------------------------------
 
     def attach_tree(label, shape, rightward):
         def matcher(stack, tokens):
             if len(stack) < 2:
-                return
+                return ()
             top = stack[-1]
             below = stack[-2]
-            if type(top) is not DoneItem or isinstance(top.t, GenHeadRule):
-                return
-            if type(below) is not shape:
-                return
+            if (type(below) is not shape or type(top) is not DoneItem
+                    or isinstance(top.t, GenHeadRule)):
+                return ()
             if (below.m != top.k) if rightward else (below.k != top.m):
-                return
+                return ()
             edge = top.m if rightward else top.k
-            for state in selected(below.q, top.t, shape, rightward):
-                yield 2, make(below, rightward, edge, state), None
+            return [(2, make(below, rightward, edge, state), None)
+                    for state in selected(below.q, top.t, shape, rightward)]
         return Clause(label, matcher)
 
     # -- 6/7: attach a completed rule as a new subtree root -----------------
@@ -263,19 +271,19 @@ def build_ghi(g: GenHeadGrammar) -> Automaton:
     def attach_rule(label, shape, rightward):
         def matcher(stack, tokens):
             if len(stack) < 2:
-                return
+                return ()
             top = stack[-1]
             below = stack[-2]
-            if type(top) is not DoneItem or not isinstance(top.t, GenHeadRule):
-                return
-            if type(below) is not shape:
-                return
+            if (type(below) is not shape or type(top) is not DoneItem
+                    or not isinstance(top.t, GenHeadRule)):
+                return ()
             if not (below.m <= top.k if rightward else top.m <= below.k):
-                return
+                return ()
             q2 = headed(below.q, top.t.lhs, rightward)
-            if q2:
-                lo, hi = (below.m, below.j) if rightward else (below.i, below.k)
-                yield 1, FullItem(lo, top.k, q2, top.m, hi), None
+            if not q2:
+                return ()
+            lo, hi = (below.m, below.j) if rightward else (below.i, below.k)
+            return [(1, _new(FullItem, (lo, top.k, q2, top.m, hi)), None)]
         return Clause(label, matcher)
 
     clauses = (

@@ -40,6 +40,11 @@ class HiItem(NamedTuple):
     j: int
 
 
+# clauses build items without the NamedTuple constructor's argument
+# handling, as `recognizers_basic` does
+_new = tuple.__new__
+
+
 class Relations(NamedTuple):
     full: frozenset  # head_corner pairs (b, a) of each variant
     left: frozenset
@@ -160,7 +165,7 @@ def build_hi(aug: AugmentedGrammar) -> Automaton:
                 lo, hi = i, k
                 found = positions(tokens, heads, i, k - 1)
             for p in found:  # heads have a fresh-head goto that is not empty
-                yield 0, HiItem(lo, p - 1, goto(q, tokens[p - 1]), p, hi), p
+                yield 0, _new(HiItem, (lo, p - 1, goto(q, tokens[p - 1]), p, hi)), p
         return matcher
 
     def scan_side(rightward):
@@ -172,12 +177,12 @@ def build_hi(aug: AugmentedGrammar) -> Automaton:
                 if m < j and tokens[m] not in nts:
                     q2 = goto(q, tokens[m])
                     if q2:
-                        yield 0, HiItem(i, k, q2, m + 1, j), m + 1
+                        yield 0, _new(HiItem, (i, k, q2, m + 1, j)), m + 1
             else:
                 if i < k and tokens[k - 1] not in nts:
                     q2 = goto(q, tokens[k - 1])
                     if q2:
-                        yield 0, HiItem(i, k - 1, q2, m, j), k
+                        yield 0, _new(HiItem, (i, k - 1, q2, m, j)), k
         return matcher
 
     def _chained(chain):
@@ -217,13 +222,13 @@ def build_hi(aug: AugmentedGrammar) -> Automaton:
                     continue
                 assert _chained(stack[len(stack) - size:])
                 if not advance:
-                    new = HiItem(i, k, q2, m, j)
+                    new = _new(HiItem, (i, k, q2, m, j))
                 elif rightward:
                     assert context.j == j
-                    new = HiItem(context.i, context.k, q2, m, j)
+                    new = _new(HiItem, (context.i, context.k, q2, m, j))
                 else:
                     assert context.i == i
-                    new = HiItem(i, k, q2, context.m, context.j)
+                    new = _new(HiItem, (i, k, q2, context.m, context.j))
                 yield size, new, None
         return matcher
 

@@ -75,6 +75,12 @@ class SetInfix(NamedTuple):
     j: int
 
 
+# clauses build items as `_new(Cls, fields)`: the tuple the NamedTuple
+# constructor makes, without its argument handling (about 300 ns against
+# 470 ns a `Dotted`); a test checks the pushed items' field counts instead
+_new = tuple.__new__
+
+
 # ---------------------------------------------------------------- rendering
 
 def _dotted_text(aug, rule, ld, rd):
@@ -137,7 +143,7 @@ def _predict(item, predicted, fresh, rightward):
         lo, hi = (top.m, top.j) if rightward else (top.i, top.k)
         for p in positions(tokens, heads, lo, hi):
             for state in fresh(targets, tokens[p - 1]):
-                yield 0, item(lo, p - 1, *state, p, hi), p
+                yield 0, _new(item, (lo, p - 1, *state, p, hi)), p
     return matcher
 
 
@@ -153,11 +159,11 @@ def _scan(item, scanned, rightward):
             if m < j:
                 state = scanned(top[2:-2], tokens[m], True)
                 if state is not None:
-                    yield 1, item(i, k, *state, m + 1, j), m + 1
+                    yield 1, _new(item, (i, k, *state, m + 1, j)), m + 1
         elif i < k:
             state = scanned(top[2:-2], tokens[k - 1], False)
             if state is not None:
-                yield 1, item(i, k - 1, *state, m, j), k
+                yield 1, _new(item, (i, k - 1, *state, m, j)), k
     return matcher
 
 
@@ -181,7 +187,7 @@ def _attach_head(item, climbs, rightward):
                 return
             assert below.i == top.i
         for state in pushes:
-            yield 1, item(top.i, top.k, *state, top.m, top.j), None
+            yield 1, _new(item, (top.i, top.k, *state, top.m, top.j)), None
     return matcher
 
 
@@ -201,13 +207,13 @@ def _attach_member(item, attaches, rightward):
                 return
             for state in attaches(top[2:-2], below[2:-2], True):
                 assert m == top.i and j == top.j
-                yield 2, item(i, k, *state, top.m, j), None
+                yield 2, _new(item, (i, k, *state, top.m, j)), None
         else:
             if k != top.m:
                 return
             for state in attaches(top[2:-2], below[2:-2], False):
                 assert k == top.j and i == top.i
-                yield 2, item(i, top.k, *state, m, j), None
+                yield 2, _new(item, (i, top.k, *state, m, j)), None
     return matcher
 
 
@@ -364,7 +370,7 @@ def build_td(aug: AugmentedGrammar) -> Automaton:
         if type(top) is not Goal:
             return
         for b in subgoals(top.sym):
-            yield 0, Goal(top.i, b, top.j), None
+            yield 0, _new(Goal, (top.i, b, top.j)), None
 
     def predict_side(rightward):
         def matcher(stack, tokens):
@@ -376,9 +382,9 @@ def build_td(aug: AugmentedGrammar) -> Automaton:
                 return
             if rightward:
                 if top.m < top.j:
-                    yield 0, Goal(top.m, sym, top.j), None
+                    yield 0, _new(Goal, (top.m, sym, top.j)), None
             elif top.i < top.k:
-                yield 0, Goal(top.i, sym, top.k), None
+                yield 0, _new(Goal, (top.i, sym, top.k)), None
         return matcher
 
     def clause_1(stack, tokens):
@@ -391,7 +397,7 @@ def build_td(aug: AugmentedGrammar) -> Automaton:
             return
         for k in positions(tokens, found, i, j):
             for rid, ld, rd in heads(sym, tokens[k - 1]):
-                yield 1, Dotted(i, k - 1, rid, ld, rd, k, j), k
+                yield 1, _new(Dotted, (i, k - 1, rid, ld, rd, k, j)), k
 
     def clause_3(stack, tokens):
         if len(stack) < 2:
@@ -405,7 +411,7 @@ def build_td(aug: AugmentedGrammar) -> Automaton:
             return
         assert below.i == top.i and below.j == top.j
         for rid, ld, rd in climbs(below.sym, b):
-            yield 2, Dotted(below.i, top.k, rid, ld, rd, top.m, below.j), None
+            yield 2, _new(Dotted, (below.i, top.k, rid, ld, rd, top.m, below.j)), None
 
     clauses = (
         Clause("0", clause_0),

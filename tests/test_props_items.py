@@ -8,7 +8,7 @@ from headparse.recognizer_ghi import (DoneItem, FullItem, LeftOpenItem,
 from headparse.recognizer_hi import HiItem, build_hi
 from headparse.recognizers_basic import (Dotted, Goal, SetInfix, build_ehi,
                                          build_hc, build_phi, build_td)
-from conftest import explore
+from conftest import FLAT_BUILDERS, explore
 
 GRAMMARS = head_grammar_corpus(10, seed=1201)
 INPUTS = all_inputs(("a", "b"), 3)
@@ -120,3 +120,27 @@ def test_ghi_items_well_formed():
                         assert kind is DoneItem
                         assert -1 <= item.k < item.m <= n
     assert checked
+
+
+def test_pushed_items_have_one_value_per_field():
+    # clauses build items by `tuple.__new__`, which skips the NamedTuple
+    # constructor's count of the fields: every item pushed on a slice of
+    # the acceptance gate's corpora must still have one value per field of
+    # its class and rebuild equal through that constructor
+    automata = []
+    for g in head_grammar_corpus(40, seed=31415):
+        aug = augment(g)
+        automata += [builder(aug) for name, builder in FLAT_BUILDERS.items()
+                     if eligible(aug, name)]
+    automata += [build_ghi(g) for g in gen_grammar_corpus(20, seed=27182)
+                 if gen_eligible(g)]
+    kinds = set()
+    for automaton in automata:
+        for tokens in all_inputs(("a", "b"), 4):
+            for stack in explore(automaton, tokens).stacks:
+                for item in stack:
+                    assert len(item) == len(type(item)._fields), item
+                    assert type(item)(*item) == item
+                    kinds.add(type(item))
+    assert kinds == {Goal, Dotted, SetInfix, HiItem,
+                     FullItem, RightOpenItem, LeftOpenItem, DoneItem}
