@@ -16,9 +16,11 @@ Besides the grammar model itself this module provides:
     marker followed by the old start symbol (`fresh_markers`).  The bottom
     marker acts as an imaginary zeroth input symbol occupying the span
     (-1, 0]; recognizers begin with it already recognized.
-  * the head-corner relation family (`head_corner`): the reflexive and
-    transitive closure of "is the head of a rule for", optionally
-    restricted to rules whose head is leftmost or rightmost.
+  * the head-corner relation family: the reflexive and transitive closure
+    of "is the head of a rule for", optionally restricted to rules whose
+    head is leftmost or rightmost.  `head_corners` reads it per target,
+    lazily, as the recognizers need it; `head_corner` materialises its
+    pairs.
   * loop detectors (`detect_head_recursion`, `detect_cyclic`) that tell
     which recognizers are guaranteed to terminate on a given grammar.
   * the `.hg` text format (`parse_hg` / `format_hg`), whose front the
@@ -28,6 +30,7 @@ Besides the grammar model itself this module provides:
 from __future__ import annotations
 
 import re
+from functools import cache
 from typing import Iterable, NamedTuple, Optional
 
 BOTTOM_BASE = "⊥"  # the bottom marker; not writable in grammar files
@@ -192,33 +195,19 @@ def augment(g: HeadGrammar) -> AugmentedGrammar:
     return AugmentedGrammar(g, *fresh_markers(g.symbols))
 
 
-def _reachable_closure(edges, universe):
-    """All (b, a) with an edge path b -> ... -> a, plus identity pairs."""
-    pairs = {(x, x) for x in universe}
-    for origin in universe:
-        seen = {origin}
-        work = [origin]
-        while work:
-            cur = work.pop()
-            for nxt in edges.get(cur, ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    work.append(nxt)
-        pairs.update((origin, x) for x in seen)
-    return frozenset(pairs)
+def head_corners(g: AugmentedGrammar, variant: str = FULL):
+    """The head-corner relation read per target: a function from a
+    nonterminal ``b`` to the frozenset of its head corners, the ``c`` with
+    ``(c, b)`` in ``head_corner(g, variant)``.
 
-
-def head_corner(g: AugmentedGrammar, variant: str = FULL) -> frozenset:
-    """Reflexive-transitive closure of "is the head of a rule for".
-
-    ``(b, a)`` in the relation means a chain of rules leads from ``a`` down
-    to ``b`` through head members only.  The ``left`` variant only follows
-    rules whose head is the leftmost member, ``right`` only rules whose
-    head is rightmost.  Pairs range over nonterminals.
+    The first time ``b`` is asked for, one walk down the head members of
+    its rules, and of theirs, finds its corners; the answer is cached, so
+    no grammar-wide table is built.  The variants follow the rules
+    `head_corner` describes.
     """
     if variant not in (FULL, LEFT, RIGHT):
         raise ValueError("unknown head-corner variant: %r" % variant)
-    edges = {}
+    heads = {}
     for r in g.rules:
         h = r.rhs[r.head]
         if h not in g.nonterminals:
@@ -227,8 +216,33 @@ def head_corner(g: AugmentedGrammar, variant: str = FULL) -> frozenset:
             continue
         if variant == RIGHT and r.head != len(r.rhs) - 1:
             continue
-        edges.setdefault(h, set()).add(r.lhs)
-    return _reachable_closure(edges, g.nonterminals)
+        heads.setdefault(r.lhs, set()).add(h)
+
+    @cache
+    def corners(b):
+        seen = {b}
+        work = [b]
+        while work:
+            for c in heads.get(work.pop(), ()):
+                if c not in seen:
+                    seen.add(c)
+                    work.append(c)
+        return frozenset(seen)
+    return corners
+
+
+def head_corner(g: AugmentedGrammar, variant: str = FULL) -> frozenset:
+    """Reflexive-transitive closure of "is the head of a rule for".
+
+    ``(b, a)`` in the relation means a chain of rules leads from ``a`` down
+    to ``b`` through head members only.  The ``left`` variant only follows
+    rules whose head is the leftmost member, ``right`` only rules whose
+    head is rightmost.  Pairs range over nonterminals.  The recognizers
+    read the relation per target through `head_corners`; this is its
+    materialised form.
+    """
+    corners = head_corners(g, variant)
+    return frozenset((c, b) for b in g.nonterminals for c in corners(b))
 
 
 def _find_cycle(arcs, nodes) -> Optional[list]:

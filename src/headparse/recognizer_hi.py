@@ -25,10 +25,10 @@ set contains the finished start rule.
 from __future__ import annotations
 
 from functools import cache, partial
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .engine import Automaton, Clause, positions
-from .grammar import FULL, LEFT, RIGHT, AugmentedGrammar, head_corner
+from .grammar import FULL, LEFT, RIGHT, AugmentedGrammar, head_corners
 from .recognizers_basic import _dotted_text, _finished, _gated, _moved, _next_to
 
 
@@ -46,14 +46,14 @@ _new = tuple.__new__
 
 
 class Relations(NamedTuple):
-    full: frozenset  # head_corner pairs (b, a) of each variant
-    left: frozenset
-    right: frozenset
+    full: Callable  # head_corners of each variant: target -> its corners
+    left: Callable
+    right: Callable
 
 
 def compute_relations(aug: AugmentedGrammar) -> Relations:
-    return Relations(head_corner(aug, FULL), head_corner(aug, LEFT),
-                     head_corner(aug, RIGHT))
+    return Relations(head_corners(aug, FULL), head_corners(aug, LEFT),
+                     head_corners(aug, RIGHT))
 
 
 def _pending(aug, q, rightward):

@@ -43,7 +43,7 @@ from functools import cache, partial
 from typing import NamedTuple
 
 from .engine import Automaton, Clause, positions
-from .grammar import FULL, AugmentedGrammar, head_corner
+from .grammar import FULL, AugmentedGrammar, head_corners
 
 
 class Goal(NamedTuple):
@@ -262,11 +262,12 @@ def _head_states(aug, rids):
     return tuple((rid, aug.rules[rid].head, aug.rules[rid].head + 1) for rid in rids)
 
 
-def _gated(aug, rids, pairs, targets):
+def _gated(aug, rids, corners, targets):
     """The head states of the rules `rids` whose left-hand side is a head
-    corner, by `pairs`, of one of `targets`."""
+    corner of one of `targets`; `corners` maps a target to its corners, as
+    `head_corners` does."""
     return _head_states(aug, [rid for rid in rids
-                              if any((aug.rules[rid].lhs, b) in pairs for b in targets)])
+                              if any(aug.rules[rid].lhs in corners(b) for b in targets)])
 
 
 def _next_to(aug, state, rightward):
@@ -447,7 +448,7 @@ def build_td(aug: AugmentedGrammar) -> Automaton:
 
 def build_hc(aug: AugmentedGrammar) -> Automaton:
     """Head-corner recognizer: prediction gated by the head-corner relation."""
-    pairs = head_corner(aug, FULL)
+    corners = head_corners(aug, FULL)
     t_heads = aug.rules_with_terminal_head
     nt_heads = aug.rules_with_nonterminal_head
     pending, scanned, attaches, scans, done = _dotted_tables(aug)
@@ -456,7 +457,7 @@ def build_hc(aug: AugmentedGrammar) -> Automaton:
     def fresh(b, a):
         """The head states of the rules headed by `a` whose left-hand side
         is a head corner of `b`."""
-        return _gated(aug, t_heads.get(a, ()), pairs, (b,))
+        return _gated(aug, t_heads.get(a, ()), corners, (b,))
 
     @cache
     def heads_for(b):
@@ -480,7 +481,7 @@ def build_hc(aug: AugmentedGrammar) -> Automaton:
         wanted = pending(below, rightward)
         if b is None or wanted is None:
             return None
-        return _gated(aug, nt_heads.get(b, ()), pairs, (wanted,))
+        return _gated(aug, nt_heads.get(b, ()), corners, (wanted,))
 
     clauses, plan = _clause_set(Dotted, predicted, fresh, scanned, climbs,
                                 attaches, scans, done)
@@ -530,7 +531,7 @@ def _build_infix(aug, name, merge_lhs):
     gamma).  Each step computes the left-hand sides that survive it; EHI
     keeps them as one item, PHI splits them into one single-member item
     each, in the same order."""
-    pairs = head_corner(aug, FULL)
+    corners = head_corners(aug, FULL)
     nts = aug.nonterminals
     index = InfixIndex(aug)
     term_lhs = _distinct_lhs(aug.rules_with_terminal_head, aug)
@@ -539,9 +540,9 @@ def _build_infix(aug, name, merge_lhs):
     single = {a: frozenset((a,)) for a in nts | {aug.start_prime}}
 
     def deltas(lhss, targets):
-        """The left-hand sides in `lhss` that are a head corner of one of
-        `targets`, as EHI's one set or PHI's one-member sets."""
-        survivors = [c for c in lhss if any((c, b) in pairs for b in targets)]
+        """The left-hand sides in `lhss` that are among the head corners of
+        one of `targets`, as EHI's one set or PHI's one-member sets."""
+        survivors = [c for c in lhss if any(c in corners(b) for b in targets)]
         if not survivors:
             return ()
         if merge_lhs:

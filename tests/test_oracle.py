@@ -95,8 +95,9 @@ def test_subsequence_property_flags_broken_recognizer(tiny_grammar, monkeypatch)
     # language string can justify; the checker must notice
     g = hg("S", ("S", "c *A b"), ("A", "*a"), ("D", "*d"))
     aug = augment(g)
-    everything = frozenset((b, a) for b in aug.nonterminals for a in aug.nonterminals)
-    monkeypatch.setattr(recognizers_basic, "head_corner", lambda aug, variant: everything)
+    # every nonterminal a head corner of every target
+    monkeypatch.setattr(recognizers_basic, "head_corners",
+                        lambda aug, variant: lambda b: aug.nonterminals)
     broken = build_hc(aug)
     tokens = ("c", "a", "d")
     verdicts = {check_subsequence_property(g, tokens, consulted)
